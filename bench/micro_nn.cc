@@ -159,6 +159,25 @@ void BM_GruForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_GruForwardBackward)->Arg(10)->Arg(20)->Arg(40);
 
+// The batched inference recurrence (E-step / dev-eval PredictBatch): B
+// equal-length sequences per call, items = tokens. B = 1 is the
+// per-instance cost, so the pair shows what packing buys per token.
+void BM_GruForwardPacked(benchmark::State& state) {
+  util::Rng rng(3);
+  const int batch = static_cast<int>(state.range(0));
+  const int t_len = static_cast<int>(state.range(1));
+  nn::Gru gru("gru", 64, 32, &rng);
+  const util::Matrix x = RandomMatrix(batch * t_len, 64, &rng);
+  util::Matrix h;
+  for (auto _ : state) {
+    gru.ForwardPacked(x, batch, t_len, &h);
+    benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch * t_len);
+}
+BENCHMARK(BM_GruForwardPacked)->Args({1, 13})->Args({16, 13});
+
 void BM_SoftmaxRows(benchmark::State& state) {
   util::Rng rng(4);
   const util::Matrix logits =

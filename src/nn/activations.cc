@@ -30,7 +30,7 @@ void ReluBackward(const util::Vector& post, util::Vector* grad) {
 }
 
 void TanhForward(util::Vector* x) {
-  for (float& v : *x) v = std::tanh(v);
+  for (float& v : *x) v = Tanh(v);
 }
 
 void SigmoidForward(util::Vector* x) {

@@ -1,7 +1,6 @@
 #include "nn/conv1d.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -53,11 +52,7 @@ thread_local util::Matrix tls_grad_patches;
 inline void ApplyBiasAct(const float* bias, util::Act act, int f, float* yr) {
   for (int j = 0; j < f; ++j) {
     float v = yr[j] + bias[j];
-    if (act == util::Act::kRelu) {
-      v = v > 0.0f ? v : 0.0f;
-    } else if (act == util::Act::kTanh) {
-      v = std::tanh(v);
-    }
+    if (act == util::Act::kRelu) v = v > 0.0f ? v : 0.0f;
     yr[j] = v;
   }
 }
@@ -67,11 +62,7 @@ inline void ApplyScaleBiasAct(const float* scale, const float* bias,
                               util::Act act, int f, float* yr) {
   for (int j = 0; j < f; ++j) {
     float v = yr[j] * scale[j] + bias[j];
-    if (act == util::Act::kRelu) {
-      v = v > 0.0f ? v : 0.0f;
-    } else if (act == util::Act::kTanh) {
-      v = std::tanh(v);
-    }
+    if (act == util::Act::kRelu) v = v > 0.0f ? v : 0.0f;
     yr[j] = v;
   }
 }

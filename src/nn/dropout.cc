@@ -11,14 +11,11 @@ void ApplyForward(double rate, util::Rng* rng, float* data, size_t n,
   mask->assign(n, 1);
   if (rate <= 0.0) return;
   const float scale = static_cast<float>(1.0 / (1.0 - rate));
-  for (size_t i = 0; i < n; ++i) {
-    if (rng->Uniform() < rate) {
-      (*mask)[i] = 0;
-      data[i] = 0.0f;
-    } else {
-      data[i] *= scale;
-    }
-  }
+  // Draw the whole mask first, then apply it in a select loop the compiler
+  // vectorizes; the draws and the outputs match a draw-and-branch loop.
+  uint8_t* m = mask->data();
+  for (size_t i = 0; i < n; ++i) m[i] = !(rng->Uniform() < rate);
+  for (size_t i = 0; i < n; ++i) data[i] = m[i] ? data[i] * scale : 0.0f;
 }
 
 void ApplyBackward(double rate, const std::vector<uint8_t>& mask, float* grad,

@@ -1,7 +1,5 @@
 #include "nn/gru.h"
 
-#include <cmath>
-
 #include "nn/activations.h"
 #include "util/check.h"
 #include "util/gemm_kernel.h"
@@ -108,7 +106,7 @@ void Gru::Forward(const util::Matrix& x, Cache* cache,
     for (int k = 0; k < h_dim; ++k) rh[k] = r[k] * h_prev[k];
     recur(ucp, rh, &tmp_b);
     for (int k = 0; k < h_dim; ++k) {
-      c[k] = std::tanh(gxc[k] + tmp_b[k]);
+      c[k] = Tanh(gxc[k] + tmp_b[k]);
     }
     // h_t
     for (int k = 0; k < h_dim; ++k) {
@@ -186,7 +184,7 @@ void Gru::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
       const float* tmp_b = tmp.Row(b);
       float* c = cs.Row(b);
       for (int k = 0; k < h_dim; ++k) {
-        c[k] = std::tanh(gxc[k] + tmp_b[k]);
+        c[k] = Tanh(gxc[k] + tmp_b[k]);
       }
     }
     // h_t

@@ -1,7 +1,5 @@
 #include "nn/lstm.h"
 
-#include <cmath>
-
 #include "nn/activations.h"
 #include "util/check.h"
 #include "util/gemm_kernel.h"
@@ -83,9 +81,10 @@ void Lstm::Forward(const util::Matrix& x, Cache* cache,
     util::gemm::GemmEx(1, h_dim, h_dim, 1.0f, h_prev.data(), h_dim,
                        util::Trans::kNo, u, h_dim, util::Trans::kNo, 0.0f,
                        b.data(), h_dim, nullptr, util::Act::kNone);
-    for (int k = 0; k < h_dim; ++k) {
-      const float pre = gx[k] + b[k];
-      out[k] = tanh_act ? std::tanh(pre) : Sigmoid(pre);
+    if (tanh_act) {
+      for (int k = 0; k < h_dim; ++k) out[k] = Tanh(gx[k] + b[k]);
+    } else {
+      for (int k = 0; k < h_dim; ++k) out[k] = Sigmoid(gx[k] + b[k]);
     }
   };
   for (int t = 0; t < t_len; ++t) {
@@ -99,12 +98,12 @@ void Lstm::Forward(const util::Matrix& x, Cache* cache,
     gate(ufp, tls_gxf.Row(t), f, false);
     gate(uop, tls_gxo.Row(t), o, false);
     gate(ugp, tls_gxg.Row(t), g, true);
-    for (int k = 0; k < h_dim; ++k) {
-      c[k] = f[k] * c_prev[k] + i[k] * g[k];
-      h[k] = o[k] * std::tanh(c[k]);
-      c_prev[k] = c[k];
-      h_prev[k] = h[k];
-    }
+    // Separate short loops: each vectorizes, where one fused loop over
+    // eight streams exceeds the compiler's runtime alias-check budget.
+    for (int k = 0; k < h_dim; ++k) c[k] = f[k] * c_prev[k] + i[k] * g[k];
+    for (int k = 0; k < h_dim; ++k) h[k] = o[k] * Tanh(c[k]);
+    std::copy(c, c + h_dim, c_prev.begin());
+    std::copy(h, h + h_dim, h_prev.begin());
   }
   *h_out = cache->h;
 }
@@ -151,9 +150,10 @@ void Lstm::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
       const float* gxr = gx.Row(b * t_len + t);
       const float* tb = tmp.Row(b);
       float* o = out->Row(b);
-      for (int k = 0; k < h_dim; ++k) {
-        const float pre = gxr[k] + tb[k];
-        o[k] = tanh_act ? std::tanh(pre) : Sigmoid(pre);
+      if (tanh_act) {
+        for (int k = 0; k < h_dim; ++k) o[k] = Tanh(gxr[k] + tb[k]);
+      } else {
+        for (int k = 0; k < h_dim; ++k) o[k] = Sigmoid(gxr[k] + tb[k]);
       }
     }
   };
@@ -170,12 +170,9 @@ void Lstm::ForwardPacked(const util::Matrix& x_packed, int batch, int t_len,
       float* cp = c_prev.Row(b);
       float* hp = h_prev.Row(b);
       float* h = h_packed->Row(b * t_len + t);
-      for (int k = 0; k < h_dim; ++k) {
-        const float c = f[k] * cp[k] + i[k] * g[k];
-        h[k] = o[k] * std::tanh(c);
-        cp[k] = c;
-        hp[k] = h[k];
-      }
+      for (int k = 0; k < h_dim; ++k) cp[k] = f[k] * cp[k] + i[k] * g[k];
+      for (int k = 0; k < h_dim; ++k) h[k] = o[k] * Tanh(cp[k]);
+      std::copy(h, h + h_dim, hp);
     }
   }
 }
@@ -193,7 +190,7 @@ void Lstm::Backward(const util::Matrix& x, const Cache& cache,
   tls_hprev.ResizeNoZero(t_len, h_dim);
 
   util::Vector dh_next(h_dim, 0.0f), dc_next(h_dim, 0.0f);
-  util::Vector d_pre(h_dim), c_prev(h_dim), tmp;
+  util::Vector d_pre(h_dim), c_prev(h_dim), tanh_c(h_dim), tmp;
   for (int t = t_len - 1; t >= 0; --t) {
     float* h_prev = tls_hprev.Row(t);
     if (t > 0) {
@@ -215,11 +212,14 @@ void Lstm::Backward(const util::Matrix& x, const Cache& cache,
     float* df_pre = tls_df.Row(t);
     float* do_pre = tls_do.Row(t);
     float* dg_pre = tls_dg.Row(t);
+    // tanh(c_t), recomputed exactly as Forward computed it, in its own
+    // (vectorized) loop.
+    for (int k = 0; k < h_dim; ++k) tanh_c[k] = Tanh(c[k]);
     for (int k = 0; k < h_dim; ++k) {
       const float dh = gh[k] + dh_next[k];
-      const float tanh_c = std::tanh(c[k]);
-      const float dok = dh * tanh_c;
-      const float dc = dh * o[k] * (1.0f - tanh_c * tanh_c) + dc_next[k];
+      const float dok = dh * tanh_c[k];
+      const float dc =
+          dh * o[k] * (1.0f - tanh_c[k] * tanh_c[k]) + dc_next[k];
       const float dfk = dc * c_prev[k];
       const float dik = dc * g[k];
       const float dgk = dc * i[k];

@@ -34,8 +34,13 @@ uint64_t NextMatrixVersion();
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
+  // A sized matrix takes a fresh ticket: its buffer may reuse the address of
+  // a destroyed matrix whose version the pack cache still holds.
   Matrix(int rows, int cols, float fill = 0.0f)
-      : rows_(rows), cols_(cols), data_(static_cast<size_t>(rows) * cols, fill) {
+      : rows_(rows),
+        cols_(cols),
+        version_(NextMatrixVersion()),
+        data_(static_cast<size_t>(rows) * cols, fill) {
     LNCL_DCHECK(rows >= 0 && cols >= 0);
   }
 
@@ -50,7 +55,7 @@ class Matrix {
 
   // Content-version ticket: version() == version() of another matrix implies
   // equal contents (the converse need not hold). 0 only for a default-built,
-  // never-mutated matrix.
+  // never-mutated (hence empty) matrix.
   uint64_t version() const { return version_; }
 
   float& operator()(int r, int c) {
@@ -134,7 +139,7 @@ enum class Trans { kNo, kYes };
 // Fused epilogue activation for GemmEx (util/gemm_kernel.h): applied to
 // each output element after the alpha/beta/bias combination, inside the
 // kernel's single pass over C.
-enum class Act { kNone, kRelu, kTanh };
+enum class Act { kNone, kRelu };
 
 // General matrix multiply, the single optimized entry point every dense
 // kernel funnels through:

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "nn/activations.h"
@@ -76,6 +78,86 @@ TEST(ActivationsTest, SigmoidRange) {
   EXPECT_NEAR(Sigmoid(0.0f), 0.5f, 1e-6);
   EXPECT_GT(Sigmoid(10.0f), 0.999f);
   EXPECT_LT(Sigmoid(-10.0f), 0.001f);
+}
+
+TEST(ActivationsTest, TanhAndSigmoidMatchDoubleReference) {
+  // Dense grid over [-20, 20] (step 1e-4), covering both Tanh branches, the
+  // polynomial / exp switch at |x| = 0.625, and both Sigmoid tails.
+  const int n = 400001;
+  double max_tanh_err = 0.0, max_sigmoid_err = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const float x = static_cast<float>(-20.0 + 40.0 * i / (n - 1));
+    const float t = Tanh(x);
+    const float s = Sigmoid(x);
+    ASSERT_GE(t, -1.0f) << x;
+    ASSERT_LE(t, 1.0f) << x;
+    ASSERT_GE(s, 0.0f) << x;
+    ASSERT_LE(s, 1.0f) << x;
+    const double xd = x;
+    max_tanh_err = std::max(max_tanh_err, std::fabs(t - std::tanh(xd)));
+    max_sigmoid_err = std::max(max_sigmoid_err,
+                               std::fabs(s - 1.0 / (1.0 + std::exp(-xd))));
+  }
+  EXPECT_LE(max_tanh_err, 4e-7);
+  EXPECT_LE(max_sigmoid_err, 2e-7);
+}
+
+TEST(ActivationsTest, SaturateExactlyAndStayInRange) {
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(Tanh(30.0f), 1.0f);
+  EXPECT_EQ(Tanh(-30.0f), -1.0f);
+  EXPECT_EQ(Tanh(inf), 1.0f);
+  EXPECT_EQ(Tanh(-inf), -1.0f);
+  EXPECT_EQ(Sigmoid(30.0f), 1.0f);
+  EXPECT_EQ(Sigmoid(inf), 1.0f);
+  EXPECT_EQ(Sigmoid(-100.0f), 0.0f);
+  EXPECT_EQ(Sigmoid(-inf), 0.0f);
+  // The negative tail keeps relative accuracy instead of rounding to 0.
+  EXPECT_NEAR(Sigmoid(-30.0f) / 9.357622968840175e-14, 1.0, 1e-6);
+  EXPECT_EQ(Tanh(0.0f), 0.0f);
+  EXPECT_TRUE(std::signbit(Tanh(-0.0f)));
+  EXPECT_EQ(Sigmoid(0.0f), 0.5f);
+}
+
+TEST(ActivationsTest, NanPropagates) {
+  // LNCL_AUDIT's finite checks must still see a non-finite pre-activation.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(Tanh(nan)));
+  EXPECT_TRUE(std::isnan(Sigmoid(nan)));
+  Vector t = {0.5f, nan, -2.0f}, s = t;
+  TanhForward(&t);
+  SigmoidForward(&s);
+  EXPECT_TRUE(std::isnan(t[1]));
+  EXPECT_TRUE(std::isnan(s[1]));
+  EXPECT_FALSE(std::isnan(t[0]) || std::isnan(t[2]));
+  EXPECT_FALSE(std::isnan(s[0]) || std::isnan(s[2]));
+}
+
+// One element per call, kept out of any vectorized loop.
+[[gnu::noinline]] float TanhOne(float x) { return Tanh(x); }
+[[gnu::noinline]] float SigmoidOne(float x) { return Sigmoid(x); }
+
+TEST(ActivationsTest, SpanEvaluationEqualsElementwiseBitwise) {
+  // Lengths 1..33 cover vector bodies, vector epilogues and scalar tails;
+  // every lane must match the one-at-a-time value bit for bit, which is
+  // what keeps the packed recurrent forwards byte-equal to Forward.
+  Rng rng(13);
+  for (int len = 1; len <= 33; ++len) {
+    Vector x(len);
+    for (float& v : x) v = static_cast<float>(rng.Uniform(-12.0, 12.0));
+    x[0] = len % 2 ? 0.625f : -0.625f;  // the Tanh branch boundary
+    Vector t = x, s = x;
+    TanhForward(&t);
+    SigmoidForward(&s);
+    for (int i = 0; i < len; ++i) {
+      const float te = TanhOne(x[i]);
+      const float se = SigmoidOne(x[i]);
+      EXPECT_EQ(0, std::memcmp(&te, &t[i], sizeof(float)))
+          << "Tanh len=" << len << " i=" << i;
+      EXPECT_EQ(0, std::memcmp(&se, &s[i], sizeof(float)))
+          << "Sigmoid len=" << len << " i=" << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Softmax --
@@ -173,6 +255,37 @@ TEST(DropoutTest, DropRateAndScaling) {
     }
   }
   EXPECT_NEAR(kept / static_cast<double>(n), 0.5, 0.02);
+}
+
+TEST(DropoutTest, MatchesDrawAndBranchReference) {
+  // The mask-then-select forward must consume the same draws and produce the
+  // same bits as the draw-and-branch loop it replaced.
+  for (double rate : {0.0, 0.3, 0.5}) {
+    Rng data_rng(5);
+    Matrix x = RandomMatrix(13, 64, &data_rng);
+    Matrix ref = x;
+    Rng rng(11), ref_rng(11);
+    std::vector<uint8_t> mask;
+    DropoutForward(rate, &rng, &x, &mask);
+
+    std::vector<uint8_t> ref_mask(ref.size(), 1);
+    if (rate > 0.0) {
+      const float scale = static_cast<float>(1.0 / (1.0 - rate));
+      float* d = ref.data();
+      for (size_t i = 0; i < ref.size(); ++i) {
+        if (ref_rng.Uniform() < rate) {
+          ref_mask[i] = 0;
+          d[i] = 0.0f;
+        } else {
+          d[i] *= scale;
+        }
+      }
+    }
+    EXPECT_EQ(mask, ref_mask) << "rate=" << rate;
+    EXPECT_EQ(0, std::memcmp(x.data(), ref.data(), sizeof(float) * x.size()))
+        << "rate=" << rate;
+    EXPECT_EQ(rng.Uniform(), ref_rng.Uniform()) << "rate=" << rate;
+  }
 }
 
 TEST(DropoutTest, BackwardMatchesMask) {
