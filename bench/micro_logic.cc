@@ -1,6 +1,6 @@
 // google-benchmark micro-benchmarks for the logic substrate and the
 // EM-adjacent kernels: Eq. 15 projection, forward-backward sequence
-// projection, q_a computation and the confusion update.
+// projection, the chain smoother, q_a computation and the confusion update.
 #include <benchmark/benchmark.h>
 
 #include "core/ner_rules.h"
@@ -8,6 +8,7 @@
 #include "crowd/confusion.h"
 #include "logic/posterior_reg.h"
 #include "logic/sequence_rules.h"
+#include "util/chain.h"
 #include "util/rng.h"
 
 namespace lncl {
@@ -52,6 +53,28 @@ void BM_SequenceProjection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t_len);
 }
 BENCHMARK(BM_SequenceProjection)->Arg(8)->Arg(16)->Arg(32);
+
+// Exact chain smoothing as the sequence aggregators call it: one 13-token
+// sentence over the 9 BIO tags, accumulating the pairwise xi counts.
+void BM_ChainForwardBackward(benchmark::State& state) {
+  util::Rng rng(5);
+  const int t_len = 13;
+  const int k = 9;
+  const util::Matrix prior_rows = RandomDistributions(1, k, &rng);
+  const util::Vector prior(prior_rows.Row(0), prior_rows.Row(0) + k);
+  const util::Matrix transition = RandomDistributions(k, k, &rng);
+  const util::Matrix emission = RandomDistributions(t_len, k, &rng);
+  util::Matrix gamma;
+  util::Matrix xi_sum(k, k);
+  for (auto _ : state) {
+    util::ChainForwardBackward(prior, transition, emission, &gamma, &xi_sum);
+    benchmark::DoNotOptimize(gamma.data());
+    benchmark::DoNotOptimize(xi_sum.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * t_len);
+}
+BENCHMARK(BM_ChainForwardBackward);
 
 void BM_ComputeQa(benchmark::State& state) {
   util::Rng rng(3);

@@ -6,12 +6,14 @@
 
 #include <vector>
 
+#include "bench_common.h"
 #include "data/embedding.h"
 #include "models/ner_tagger.h"
 #include "models/text_cnn.h"
 #include "nn/conv1d.h"
 #include "nn/gru.h"
 #include "nn/linear.h"
+#include "nn/optimizer.h"
 #include "nn/quantize.h"
 #include "nn/softmax.h"
 #include "util/gemm_kernel.h"
@@ -237,6 +239,31 @@ void BM_NerTaggerTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t_len);
 }
 BENCHMARK(BM_NerTaggerTrainStep);
+
+// One Adam update over the NER tagger's parameters (the bench model config).
+// Step() zeroes the gradients it consumes, so each iteration first restores
+// a fixed random gradient; that copy is part of the timed loop.
+void BM_AdamStep(benchmark::State& state) {
+  util::Rng rng(8);
+  auto emb = std::make_shared<data::EmbeddingTable>(500, 32);
+  models::NerTagger tagger(bench::NerModelConfig(), emb, &rng);
+  const std::vector<nn::Parameter*> params = tagger.Params();
+  std::vector<util::Matrix> grads;
+  size_t weights = 0;
+  for (const nn::Parameter* p : params) {
+    grads.push_back(RandomMatrix(p->value.rows(), p->value.cols(), &rng));
+    weights += p->value.size();
+  }
+  auto opt = nn::MakeOptimizer(bench::NerOptimizer());
+  for (auto _ : state) {
+    for (size_t i = 0; i < params.size(); ++i) params[i]->grad = grads[i];
+    opt->Step(params);
+    benchmark::DoNotOptimize(params[0]->value.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(weights));
+}
+BENCHMARK(BM_AdamStep);
 
 }  // namespace
 }  // namespace lncl

@@ -61,14 +61,14 @@ util::Matrix ComputeQa(const util::Matrix& probs,
                        const crowd::InstanceAnnotations& annotations,
                        const crowd::ConfusionSet& confusions);
 
-// Per-annotator K x K tables log_pi[a](m, y) = float(log(max(pi_a(m, y),
-// 1e-300))) — the likelihood logs ComputeQa needs, hoisted so an E-step
-// evaluates each annotator's logs once instead of once per labeled instance.
-std::vector<util::Matrix> LogConfusions(const crowd::ConfusionSet& confusions);
+// The per-annotator likelihood-log tables ComputeQa adds (label-major, see
+// crowd::LogLikelihoods), so an E-step evaluates each annotator's logs once
+// instead of once per labeled instance.
+using crowd::LogConfusions;
 
 // ComputeQa against precomputed LogConfusions tables. Bit-identical to the
-// overload above: the tables hold the very float values that overload adds,
-// so the accumulation sequence is unchanged.
+// overload above, which builds the tables of its instance's annotators and
+// calls this one.
 util::Matrix ComputeQa(const util::Matrix& probs,
                        const crowd::InstanceAnnotations& annotations,
                        const std::vector<util::Matrix>& log_confusions);

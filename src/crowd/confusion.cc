@@ -1,5 +1,6 @@
 #include "crowd/confusion.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"
@@ -38,6 +39,40 @@ void ConfusionMatrix::NormalizeRows(double smoothing) {
   // Eq. 12 closed form ends here: every annotator row must leave as a
   // distribution over observed labels.
   LNCL_AUDIT_ROW_STOCHASTIC(m_);
+}
+
+util::Matrix LogLikelihoods(const ConfusionMatrix& pi) {
+  const int k = pi.num_classes();
+  util::Matrix logs(k, k);
+  float* out = logs.data();
+  for (int y = 0; y < k; ++y) {
+    for (int m = 0; m < k; ++m) {
+      out[y * k + m] = static_cast<float>(
+          std::log(std::max(static_cast<double>(pi(m, y)), 1e-300)));
+    }
+  }
+  return logs;
+}
+
+std::vector<util::Matrix> LogConfusions(const ConfusionSet& confusions) {
+  std::vector<util::Matrix> logs;
+  logs.reserve(confusions.size());
+  for (const ConfusionMatrix& pi : confusions) {
+    logs.push_back(LogLikelihoods(pi));
+  }
+  return logs;
+}
+
+void ConfusionCounts::Store(ConfusionSet* pis) const {
+  const size_t block = static_cast<size_t>(k_) * k_;
+  LNCL_DCHECK(pis->size() * block == counts_.size());
+  for (size_t a = 0; a < pis->size(); ++a) {
+    const float* src = counts_.data() + a * block;
+    float* dst = (*pis)[a].matrix().data();
+    for (int y = 0; y < k_; ++y) {
+      for (int m = 0; m < k_; ++m) dst[m * k_ + y] = src[y * k_ + m];
+    }
+  }
 }
 
 double ConfusionMatrix::Reliability() const {

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <utility>
 
 #include "crowd/confusion.h"
-#include "inference/chain.h"
+#include "util/chain.h"
 
 namespace lncl::inference {
 
@@ -30,13 +31,17 @@ std::vector<util::Matrix> BscSeq::Infer(
 
   util::Vector prior(k, 1.0f / k);
   util::Matrix transition(k, k, 1.0f / k);
-  // Context-conditioned confusions: [annotator][context] -> K x K.
-  using ContextPis = std::array<crowd::ConfusionMatrix, 2>;
-  std::vector<ContextPis> pis(
-      num_annotators,
-      {crowd::ConfusionMatrix(k, 0.7), crowd::ConfusionMatrix(k, 0.7)});
+  // Context-conditioned confusions: [context][annotator] -> K x K.
+  const crowd::ConfusionSet init(num_annotators,
+                                 crowd::ConfusionMatrix(k, 0.7));
+  std::array<crowd::ConfusionSet, 2> pis = {init, init};
+  std::array<crowd::ConfusionCounts, 2> counts = {
+      crowd::ConfusionCounts(num_annotators, k),
+      crowd::ConfusionCounts(num_annotators, k)};
 
   util::Matrix emission;
+  util::Matrix new_gamma;
+  util::Vector lp(k);
   util::Matrix xi_sum(k, k);
   bool have_xi = false;
   for (int iter = 0; iter < options_.max_iters; ++iter) {
@@ -45,9 +50,7 @@ std::vector<util::Matrix> BscSeq::Infer(
     util::Matrix trans_counts(k, k,
                               static_cast<float>(options_.transition_pseudo));
     if (have_xi) trans_counts.AddScaled(xi_sum, 1.0f);
-    for (auto& cp : pis) {
-      for (auto& pi : cp) pi.matrix().Zero();
-    }
+    for (auto& c : counts) c.Zero();
     for (int i = 0; i < num_instances; ++i) {
       const util::Matrix& g = gamma[i];
       if (g.rows() == 0) continue;
@@ -63,10 +66,10 @@ std::vector<util::Matrix> BscSeq::Infer(
       }
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
         for (size_t t = 0; t < e.labels.size(); ++t) {
-          const int c = Context(e.labels, t);
-          for (int m = 0; m < k; ++m) {
-            pis[e.annotator][c](m, e.labels[t]) += g(static_cast<int>(t), m);
-          }
+          float* row = counts[Context(e.labels, t)].Row(e.annotator,
+                                                        e.labels[t]);
+          const float* gt = g.Row(static_cast<int>(t));
+          for (int m = 0; m < k; ++m) row[m] += gt[m];
         }
       }
     }
@@ -82,8 +85,9 @@ std::vector<util::Matrix> BscSeq::Infer(
         transition(a, b) = static_cast<float>(trans_counts(a, b) / row_total);
       }
     }
-    for (auto& cp : pis) {
-      for (auto& pi : cp) {
+    for (int c = 0; c < 2; ++c) {
+      counts[c].Store(&pis[c]);
+      for (auto& pi : pis[c]) {
         for (int m = 0; m < k; ++m) {
           pi(m, m) += static_cast<float>(options_.diag_pseudo);
         }
@@ -92,6 +96,8 @@ std::vector<util::Matrix> BscSeq::Infer(
     }
 
     // ---- E-step. ----
+    const std::array<std::vector<util::Matrix>, 2> log_pi = {
+        crowd::LogConfusions(pis[0]), crowd::LogConfusions(pis[1])};
     double delta = 0.0;
     long items = 0;
     xi_sum.Zero();
@@ -100,29 +106,27 @@ std::vector<util::Matrix> BscSeq::Infer(
       const int t_len = items_per_instance[i];
       emission.Resize(t_len, k);
       for (int t = 0; t < t_len; ++t) {
-        util::Vector lp(k, 0.0f);
+        std::fill(lp.begin(), lp.end(), 0.0f);
         for (const crowd::AnnotatorLabels& e :
              annotations.instance(i).entries) {
           const int c = Context(e.labels, static_cast<size_t>(t));
-          const int y = e.labels[t];
-          for (int m = 0; m < k; ++m) {
-            lp[m] += static_cast<float>(std::log(std::max(
-                static_cast<double>(pis[e.annotator][c](m, y)), 1e-300)));
-          }
+          const float* row = log_pi[c][e.annotator].Row(e.labels[t]);
+          for (int m = 0; m < k; ++m) lp[m] += row[m];
         }
         float mx = lp[0];
         for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-        for (int m = 0; m < k; ++m) emission(t, m) = std::exp(lp[m] - mx);
+        float* em = emission.Row(t);
+        for (int m = 0; m < k; ++m) em[m] = std::exp(lp[m] - mx);
       }
-      util::Matrix new_gamma;
-      ChainForwardBackward(prior, transition, emission, &new_gamma, &xi_sum);
+      util::ChainForwardBackward(prior, transition, emission, &new_gamma,
+                                 &xi_sum);
       for (int t = 0; t < t_len; ++t) {
         for (int m = 0; m < k; ++m) {
           delta += std::fabs(new_gamma(t, m) - gamma[i](t, m));
         }
         ++items;
       }
-      gamma[i] = std::move(new_gamma);
+      std::swap(gamma[i], new_gamma);
     }
     if (items > 0 && delta / static_cast<double>(items * k) < options_.tol) {
       break;

@@ -35,18 +35,24 @@ std::vector<util::Vector> DawidSkene::Run(
   std::vector<util::Vector> q = MvInit(view);
 
   crowd::ConfusionSet pis(view.num_annotators, crowd::ConfusionMatrix(k, 0.7));
+  crowd::ConfusionCounts counts(view.num_annotators, k);
   std::vector<double> prior(k, 1.0 / k);
+  util::Vector log_prior(k);
+  util::Vector lp(k);
 
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step: confusions + prior from current posteriors. ----
-    for (auto& pi : pis) pi.matrix().Zero();
+    counts.Zero();
     std::vector<double> class_counts(k, options_.smoothing);
     for (size_t i = 0; i < view.items.size(); ++i) {
-      for (int m = 0; m < k; ++m) class_counts[m] += q[i][m];
+      const float* qi = q[i].data();
+      for (int m = 0; m < k; ++m) class_counts[m] += qi[m];
       for (const auto& [j, y] : view.items[i].labels) {
-        for (int m = 0; m < k; ++m) pis[j](m, y) += q[i][m];
+        float* row = counts.Row(j, y);
+        for (int m = 0; m < k; ++m) row[m] += qi[m];
       }
     }
+    counts.Store(&pis);
     if (diag_pseudo > 0.0) {
       for (auto& pi : pis) {
         for (int m = 0; m < k; ++m) {
@@ -60,31 +66,18 @@ std::vector<util::Vector> DawidSkene::Run(
     for (int m = 0; m < k; ++m) prior[m] = class_counts[m] / prior_total;
 
     // ---- E-step: posteriors from confusions (log space). ----
+    const std::vector<util::Matrix> log_pi = crowd::LogConfusions(pis);
+    for (int m = 0; m < k; ++m) {
+      log_prior[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
+    }
     double delta = 0.0;
     for (size_t i = 0; i < view.items.size(); ++i) {
-      util::Vector lp(k);
-      for (int m = 0; m < k; ++m) {
-        lp[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
-      }
+      lp = log_prior;
       for (const auto& [j, y] : view.items[i].labels) {
-        for (int m = 0; m < k; ++m) {
-          lp[m] += static_cast<float>(
-              std::log(std::max(static_cast<double>(pis[j](m, y)), 1e-300)));
-        }
+        const float* row = log_pi[j].Row(y);
+        for (int m = 0; m < k; ++m) lp[m] += row[m];
       }
-      float mx = lp[0];
-      for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-      double sum = 0.0;
-      util::Vector nq(k);
-      for (int m = 0; m < k; ++m) {
-        nq[m] = std::exp(lp[m] - mx);
-        sum += nq[m];
-      }
-      for (int m = 0; m < k; ++m) {
-        nq[m] = static_cast<float>(nq[m] / sum);
-        delta += std::fabs(nq[m] - q[i][m]);
-      }
-      q[i] = nq;
+      UpdateItemPosterior(&lp, &q[i], &delta);
     }
     delta /= static_cast<double>(view.items.size() * k);
     if (delta < options_.tol) break;

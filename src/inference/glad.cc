@@ -42,6 +42,7 @@ Glad::Detailed Glad::RunDetailed(
     }
   }
 
+  util::Vector lp(k);
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- M-step: gradient ascent on alpha, gamma. ----
     for (int pass = 0; pass < options_.m_step_passes; ++pass) {
@@ -75,7 +76,7 @@ Glad::Detailed Glad::RunDetailed(
     double delta = 0.0;
     for (int i = 0; i < num_items; ++i) {
       const double beta = std::exp(gamma[i]);
-      util::Vector lp(k, 0.0f);
+      lp.assign(k, 0.0f);
       for (const auto& [j, y] : view.items[i].labels) {
         const double s =
             std::clamp(SigmoidD(alpha[j] * beta), 1e-6, 1.0 - 1e-6);
@@ -85,19 +86,7 @@ Glad::Detailed Glad::RunDetailed(
           lp[m] += static_cast<float>(m == y ? log_correct : log_wrong);
         }
       }
-      float mx = lp[0];
-      for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-      double sum = 0.0;
-      util::Vector nq(k);
-      for (int m = 0; m < k; ++m) {
-        nq[m] = std::exp(lp[m] - mx);
-        sum += nq[m];
-      }
-      for (int m = 0; m < k; ++m) {
-        nq[m] = static_cast<float>(nq[m] / sum);
-        delta += std::fabs(nq[m] - q[i][m]);
-      }
-      q[i] = nq;
+      UpdateItemPosterior(&lp, &q[i], &delta);
     }
     if (delta / std::max(1, num_items * k) < options_.tol) break;
   }

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "crowd/confusion.h"
-#include "inference/chain.h"
+#include "util/chain.h"
 
 namespace lncl::inference {
 
@@ -22,8 +23,11 @@ std::vector<util::Matrix> HmmCrowd::Infer(
   util::Vector prior(k, 1.0f / k);
   util::Matrix transition(k, k, 1.0f / k);
   crowd::ConfusionSet pis(num_annotators, crowd::ConfusionMatrix(k, 0.7));
+  crowd::ConfusionCounts counts(num_annotators, k);
 
   util::Matrix emission;
+  util::Matrix new_gamma;
+  util::Vector lp(k);
   util::Matrix xi_sum(k, k);
   bool have_xi = false;
   for (int iter = 0; iter < options_.max_iters; ++iter) {
@@ -31,7 +35,7 @@ std::vector<util::Matrix> HmmCrowd::Infer(
     util::Vector prior_counts(k, static_cast<float>(options_.smoothing));
     util::Matrix trans_counts(k, k, static_cast<float>(options_.smoothing));
     if (have_xi) trans_counts.AddScaled(xi_sum, 1.0f);
-    for (auto& pi : pis) pi.matrix().Zero();
+    counts.Zero();
     for (int i = 0; i < num_instances; ++i) {
       const util::Matrix& g = gamma[i];
       if (g.rows() == 0) continue;
@@ -50,9 +54,9 @@ std::vector<util::Matrix> HmmCrowd::Infer(
       }
       for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
         for (size_t t = 0; t < e.labels.size(); ++t) {
-          for (int m = 0; m < k; ++m) {
-            pis[e.annotator](m, e.labels[t]) += g(static_cast<int>(t), m);
-          }
+          float* row = counts.Row(e.annotator, e.labels[t]);
+          const float* gt = g.Row(static_cast<int>(t));
+          for (int m = 0; m < k; ++m) row[m] += gt[m];
         }
       }
     }
@@ -68,9 +72,11 @@ std::vector<util::Matrix> HmmCrowd::Infer(
         transition(a, b) = static_cast<float>(trans_counts(a, b) / row_total);
       }
     }
+    counts.Store(&pis);
     for (auto& pi : pis) pi.NormalizeRows(options_.smoothing);
 
     // ---- E-step: exact smoothing per sentence. ----
+    const std::vector<util::Matrix> log_pi = crowd::LogConfusions(pis);
     double delta = 0.0;
     long items = 0;
     xi_sum.Zero();
@@ -80,30 +86,26 @@ std::vector<util::Matrix> HmmCrowd::Infer(
       emission.Resize(t_len, k);
       // Log-space emission accumulation, exponentiated with per-row shift.
       for (int t = 0; t < t_len; ++t) {
-        util::Vector lp(k, 0.0f);
+        std::fill(lp.begin(), lp.end(), 0.0f);
         for (const crowd::AnnotatorLabels& e :
              annotations.instance(i).entries) {
-          const int y = e.labels[t];
-          for (int m = 0; m < k; ++m) {
-            lp[m] += static_cast<float>(std::log(
-                std::max(static_cast<double>(pis[e.annotator](m, y)), 1e-300)));
-          }
+          const float* row = log_pi[e.annotator].Row(e.labels[t]);
+          for (int m = 0; m < k; ++m) lp[m] += row[m];
         }
         float mx = lp[0];
         for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-        for (int m = 0; m < k; ++m) {
-          emission(t, m) = std::exp(lp[m] - mx);
-        }
+        float* em = emission.Row(t);
+        for (int m = 0; m < k; ++m) em[m] = std::exp(lp[m] - mx);
       }
-      util::Matrix new_gamma;
-      ChainForwardBackward(prior, transition, emission, &new_gamma, &xi_sum);
+      util::ChainForwardBackward(prior, transition, emission, &new_gamma,
+                                 &xi_sum);
       for (int t = 0; t < t_len; ++t) {
         for (int m = 0; m < k; ++m) {
           delta += std::fabs(new_gamma(t, m) - gamma[i](t, m));
         }
         ++items;
       }
-      gamma[i] = std::move(new_gamma);
+      std::swap(gamma[i], new_gamma);
     }
     if (items > 0 && delta / static_cast<double>(items * k) < options_.tol) {
       break;

@@ -20,34 +20,34 @@ Mace::Detailed Mace::RunDetailed(
   std::vector<double> prior(k, 1.0 / k);
 
   std::vector<util::Vector> q(num_items, util::Vector(k, 1.0f / k));
+  util::Vector log_prior(k);
+  util::Vector lp(k);
+  // Per (annotator, label y): log P(y | truth = y) and log P(y | truth != y).
+  std::vector<float> log_hit(static_cast<size_t>(num_annotators) * k);
+  std::vector<float> log_miss(log_hit.size());
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- E-step: truth posteriors. ----
+    for (int m = 0; m < k; ++m) {
+      log_prior[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
+    }
+    for (int j = 0; j < num_annotators; ++j) {
+      for (int y = 0; y < k; ++y) {
+        const double spam = eps[j] * xi[j][y];
+        log_hit[j * k + y] = static_cast<float>(
+            std::log(std::max((1.0 - eps[j]) + spam, 1e-300)));
+        log_miss[j * k + y] =
+            static_cast<float>(std::log(std::max(spam, 1e-300)));
+      }
+    }
     double delta = 0.0;
     for (int i = 0; i < num_items; ++i) {
-      util::Vector lp(k);
-      for (int m = 0; m < k; ++m) {
-        lp[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
-      }
+      lp = log_prior;
       for (const auto& [j, y] : view.items[i].labels) {
-        for (int m = 0; m < k; ++m) {
-          const double like =
-              (m == y ? (1.0 - eps[j]) : 0.0) + eps[j] * xi[j][y];
-          lp[m] += static_cast<float>(std::log(std::max(like, 1e-300)));
-        }
+        const float hit = log_hit[j * k + y];
+        const float miss = log_miss[j * k + y];
+        for (int m = 0; m < k; ++m) lp[m] += m == y ? hit : miss;
       }
-      float mx = lp[0];
-      for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-      double sum = 0.0;
-      util::Vector nq(k);
-      for (int m = 0; m < k; ++m) {
-        nq[m] = std::exp(lp[m] - mx);
-        sum += nq[m];
-      }
-      for (int m = 0; m < k; ++m) {
-        nq[m] = static_cast<float>(nq[m] / sum);
-        delta += std::fabs(nq[m] - q[i][m]);
-      }
-      q[i] = nq;
+      UpdateItemPosterior(&lp, &q[i], &delta);
     }
 
     // ---- Spam responsibilities + M-step. ----

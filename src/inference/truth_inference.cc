@@ -1,4 +1,8 @@
 #include "inference/truth_inference.h"
+
+#include <algorithm>
+#include <cmath>
+
 #include "util/check.h"
 
 
@@ -35,6 +39,24 @@ ItemView FlattenItems(const crowd::AnnotationSet& annotations,
     }
   }
   return view;
+}
+
+void UpdateItemPosterior(util::Vector* lp, util::Vector* q, double* delta) {
+  util::Vector& l = *lp;
+  const size_t k = l.size();
+  LNCL_DCHECK(q->size() == k);
+  float mx = l[0];
+  for (size_t m = 1; m < k; ++m) mx = std::max(mx, l[m]);
+  double sum = 0.0;
+  for (size_t m = 0; m < k; ++m) {
+    l[m] = std::exp(l[m] - mx);
+    sum += l[m];
+  }
+  for (size_t m = 0; m < k; ++m) {
+    const float v = static_cast<float>(l[m] / sum);
+    *delta += std::fabs(v - (*q)[m]);
+    (*q)[m] = v;
+  }
 }
 
 std::vector<util::Matrix> UnflattenPosteriors(

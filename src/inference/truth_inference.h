@@ -51,6 +51,12 @@ struct ItemView {
 ItemView FlattenItems(const crowd::AnnotationSet& annotations,
                       const std::vector<int>& items_per_instance);
 
+// The E-step's normalize-and-delta for one item: turns the log-scores `lp`
+// (K) into softmax(lp), written over `q`, and adds |q_new(m) - q_old(m)| to
+// `delta` term by term. `lp` is the caller's scratch, reused across items;
+// it is left holding the shifted exponentials.
+void UpdateItemPosterior(util::Vector* lp, util::Vector* q, double* delta);
+
 // Reassembles flat per-item posteriors into per-instance matrices.
 std::vector<util::Matrix> UnflattenPosteriors(
     const ItemView& view, const std::vector<util::Vector>& posterior);

@@ -17,34 +17,30 @@ ZenCrowd::Detailed ZenCrowd::RunDetailed(
   std::vector<double> prior(k, 1.0 / k);
   std::vector<util::Vector> q(num_items, util::Vector(k, 1.0f / k));
 
+  util::Vector log_prior(k);
+  util::Vector lp(k);
+  // Per annotator: log of the hit likelihood r and of the miss (1-r)/(K-1).
+  std::vector<float> log_hit(num_annotators);
+  std::vector<float> log_miss(num_annotators);
   for (int iter = 0; iter < options_.max_iters; ++iter) {
     // ---- E-step. ----
+    for (int m = 0; m < k; ++m) {
+      log_prior[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
+    }
+    for (int j = 0; j < num_annotators; ++j) {
+      const double wrong = (1.0 - r[j]) / (k - 1);
+      log_hit[j] = static_cast<float>(std::log(std::max(r[j], 1e-300)));
+      log_miss[j] = static_cast<float>(std::log(std::max(wrong, 1e-300)));
+    }
     double delta = 0.0;
     for (int i = 0; i < num_items; ++i) {
-      util::Vector lp(k);
-      for (int m = 0; m < k; ++m) {
-        lp[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
-      }
+      lp = log_prior;
       for (const auto& [j, y] : view.items[i].labels) {
-        const double wrong = (1.0 - r[j]) / (k - 1);
-        for (int m = 0; m < k; ++m) {
-          lp[m] += static_cast<float>(
-              std::log(std::max(m == y ? r[j] : wrong, 1e-300)));
-        }
+        const float hit = log_hit[j];
+        const float miss = log_miss[j];
+        for (int m = 0; m < k; ++m) lp[m] += m == y ? hit : miss;
       }
-      float mx = lp[0];
-      for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
-      double sum = 0.0;
-      util::Vector nq(k);
-      for (int m = 0; m < k; ++m) {
-        nq[m] = std::exp(lp[m] - mx);
-        sum += nq[m];
-      }
-      for (int m = 0; m < k; ++m) {
-        nq[m] = static_cast<float>(nq[m] / sum);
-        delta += std::fabs(nq[m] - q[i][m]);
-      }
-      q[i] = nq;
+      UpdateItemPosterior(&lp, &q[i], &delta);
     }
 
     // ---- M-step. ----

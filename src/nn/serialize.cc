@@ -1,5 +1,6 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -36,10 +37,17 @@ bool LoadParams(std::istream& is, const std::vector<Parameter*>& params) {
   uint32_t magic = 0, count = 0;
   if (!ReadU32(is, &magic) || magic != kMagic) return false;
   if (!ReadU32(is, &count) || count != params.size()) return false;
-  for (Parameter* p : params) {
+  // Every record is read and checked into staging first; parameters change
+  // only once the whole file has validated.
+  std::vector<util::Matrix> staged;
+  staged.reserve(params.size());
+  std::string name;
+  for (const Parameter* p : params) {
     uint32_t name_len = 0, rows = 0, cols = 0;
-    if (!ReadU32(is, &name_len)) return false;
-    std::string name(name_len, '\0');
+    // The expected name bounds the allocation: a corrupt length field is
+    // rejected before any bytes are requested for it.
+    if (!ReadU32(is, &name_len) || name_len != p->name.size()) return false;
+    name.resize(name_len);
     is.read(name.data(), name_len);
     if (!is || name != p->name) return false;
     if (!ReadU32(is, &rows) || !ReadU32(is, &cols)) return false;
@@ -47,9 +55,14 @@ bool LoadParams(std::istream& is, const std::vector<Parameter*>& params) {
         static_cast<int>(cols) != p->value.cols()) {
       return false;
     }
-    is.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    util::Matrix& value = staged.emplace_back();
+    value.ResizeNoZero(p->value.rows(), p->value.cols());
+    is.read(reinterpret_cast<char*>(value.data()),
+            static_cast<std::streamsize>(value.size() * sizeof(float)));
     if (!is) return false;
+  }
+  for (size_t i = 0; i < params.size(); ++i) {
+    std::copy_n(staged[i].data(), staged[i].size(), params[i]->value.data());
   }
   return true;
 }

@@ -14,8 +14,8 @@ namespace lncl::nn {
 void SaveParams(std::ostream& os, const std::vector<Parameter*>& params);
 
 // Restores values into the given parameters. Names and shapes must match the
-// saved snapshot exactly; returns false (leaving params partially updated
-// only on a stream error mid-way, never on mismatch) otherwise.
+// saved snapshot exactly; otherwise, or on a truncated or corrupt file,
+// returns false and leaves every parameter unchanged.
 bool LoadParams(std::istream& is, const std::vector<Parameter*>& params);
 
 // In-memory snapshot helpers for early stopping.

@@ -8,6 +8,19 @@
 namespace lncl::util {
 
 
+namespace {
+// alpha, beta (T x K each), a K-vector, a K x K block and the transition
+// matrix in double, row-major and transposed, in one buffer per thread: the
+// smoother runs once per sentence in every E-step and projection, and from
+// several slots at once.
+thread_local std::vector<double> tls_chain_scratch;
+}  // namespace
+
+// Every sum below adds the same double terms in the same order as the
+// textbook per-element loops (sum over a of alpha * trans, over b of
+// trans * emission * beta), so results are reproducible bit for bit; the
+// loops are only arranged so the independent outputs sit in the inner loop
+// and vectorize.
 void ChainForwardBackward(const Vector& prior,
                           const Matrix& transition,
                           const Matrix& emission, Matrix* gamma,
@@ -19,67 +32,92 @@ void ChainForwardBackward(const Vector& prior,
   gamma->Resize(t_len, k);
   if (t_len == 0) return;
 
-  auto normalize = [k](std::vector<double>* v) {
+  auto normalize = [k](double* v) {
     double sum = 0.0;
-    for (double x : *v) sum += x;
+    for (int m = 0; m < k; ++m) sum += v[m];
     if (sum <= 1e-300) {
-      for (double& x : *v) x = 1.0 / k;
+      for (int m = 0; m < k; ++m) v[m] = 1.0 / k;
     } else {
-      for (double& x : *v) x /= sum;
+      for (int m = 0; m < k; ++m) v[m] /= sum;
     }
   };
 
-  std::vector<std::vector<double>> alpha(t_len, std::vector<double>(k));
-  std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
-  for (int m = 0; m < k; ++m) alpha[0][m] = prior[m] * emission(0, m);
-  normalize(&alpha[0]);
-  for (int t = 1; t < t_len; ++t) {
+  const size_t tk = static_cast<size_t>(t_len) * k;
+  const size_t kk = static_cast<size_t>(k) * k;
+  tls_chain_scratch.resize(2 * tk + k + 3 * kk);
+  double* const alpha = tls_chain_scratch.data();  // row t at alpha + t * k
+  double* const beta = alpha + tk;
+  double* const g = beta + tk;
+  double* const xi = g + k;
+  double* const trans = xi + kk;        // trans[a * k + b] = transition(a, b)
+  double* const trans_t = trans + kk;   // trans_t[b * k + a] = transition(a, b)
+  auto row = [k](double* base, int t) {
+    return base + static_cast<size_t>(t) * k;
+  };
+  for (int a = 0; a < k; ++a) {
     for (int b = 0; b < k; ++b) {
-      double s = 0.0;
-      for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * transition(a, b);
-      alpha[t][b] = s * emission(t, b);
+      trans[a * k + b] = trans_t[b * k + a] = transition(a, b);
     }
-    normalize(&alpha[t]);
   }
-  for (int t = t_len - 2; t >= 0; --t) {
+
+  for (int m = 0; m < k; ++m) alpha[m] = prior[m] * emission(0, m);
+  normalize(alpha);
+  for (int t = 1; t < t_len; ++t) {
+    const double* prev = row(alpha, t - 1);
+    double* cur = row(alpha, t);
+    std::fill_n(cur, k, 0.0);
     for (int a = 0; a < k; ++a) {
-      double s = 0.0;
-      for (int b = 0; b < k; ++b) {
-        s += transition(a, b) * emission(t + 1, b) * beta[t + 1][b];
-      }
-      beta[t][a] = s;
+      const double pa = prev[a];
+      const double* tr = trans + a * k;
+      for (int b = 0; b < k; ++b) cur[b] += pa * tr[b];
     }
-    normalize(&beta[t]);
+    const float* em = emission.Row(t);
+    for (int b = 0; b < k; ++b) cur[b] *= em[b];
+    normalize(cur);
+  }
+  std::fill_n(row(beta, t_len - 1), k, 1.0);
+  for (int t = t_len - 2; t >= 0; --t) {
+    const double* next = row(beta, t + 1);
+    const float* em = emission.Row(t + 1);
+    double* cur = row(beta, t);
+    std::fill_n(cur, k, 0.0);
+    for (int b = 0; b < k; ++b) {
+      const float e = em[b];
+      const double nb = next[b];
+      const double* tr = trans_t + b * k;
+      // transition * emission is a float product, widened for * beta.
+      for (int a = 0; a < k; ++a) cur[a] += static_cast<float>(tr[a]) * e * nb;
+    }
+    normalize(cur);
   }
 
   for (int t = 0; t < t_len; ++t) {
-    std::vector<double> g(k);
-    for (int m = 0; m < k; ++m) g[m] = alpha[t][m] * beta[t][m];
-    normalize(&g);
-    for (int m = 0; m < k; ++m) {
-      (*gamma)(t, m) = static_cast<float>(g[m]);
-    }
+    const double* al = row(alpha, t);
+    const double* be = row(beta, t);
+    for (int m = 0; m < k; ++m) g[m] = al[m] * be[m];
+    normalize(g);
+    float* out = gamma->Row(t);
+    for (int m = 0; m < k; ++m) out[m] = static_cast<float>(g[m]);
   }
 
   if (xi_sum != nullptr) {
     LNCL_DCHECK(xi_sum->rows() == k && xi_sum->cols() == k);
     for (int t = 0; t + 1 < t_len; ++t) {
-      double total = 0.0;
-      std::vector<double> xi(static_cast<size_t>(k) * k);
+      const double* al = row(alpha, t);
+      const double* be = row(beta, t + 1);
+      const float* em = emission.Row(t + 1);
       for (int a = 0; a < k; ++a) {
-        for (int b = 0; b < k; ++b) {
-          const double v = alpha[t][a] * transition(a, b) *
-                           emission(t + 1, b) * beta[t + 1][b];
-          xi[static_cast<size_t>(a) * k + b] = v;
-          total += v;
-        }
+        const double* tr = trans + a * k;
+        double* x = xi + a * k;
+        for (int b = 0; b < k; ++b) x[b] = al[a] * tr[b] * em[b] * be[b];
       }
+      double total = 0.0;
+      for (size_t i = 0; i < kk; ++i) total += xi[i];
       if (total <= 1e-300) continue;
       for (int a = 0; a < k; ++a) {
-        for (int b = 0; b < k; ++b) {
-          (*xi_sum)(a, b) += static_cast<float>(
-              xi[static_cast<size_t>(a) * k + b] / total);
-        }
+        const double* x = xi + a * k;
+        float* out = xi_sum->Row(a);
+        for (int b = 0; b < k; ++b) out[b] += static_cast<float>(x[b] / total);
       }
     }
   }

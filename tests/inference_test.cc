@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -11,7 +13,6 @@
 #include "eval/metrics.h"
 #include "inference/bsc_seq.h"
 #include "inference/catd.h"
-#include "inference/chain.h"
 #include "inference/dawid_skene.h"
 #include "inference/glad.h"
 #include "inference/hmm_crowd.h"
@@ -21,6 +22,7 @@
 #include "inference/pm.h"
 #include "inference/truth_inference.h"
 #include "inference/zencrowd.h"
+#include "util/chain.h"
 #include "util/rng.h"
 
 namespace lncl::inference {
@@ -262,7 +264,7 @@ TEST(ChainTest, UniformEverythingGivesUniformMarginals) {
   util::Matrix transition(k, k, 1.0f / k);
   util::Matrix emission(4, k, 1.0f);
   util::Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  util::ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
   for (int t = 0; t < 4; ++t) {
     for (int m = 0; m < k; ++m) EXPECT_NEAR(gamma(t, m), 1.0 / k, 1e-5);
   }
@@ -277,7 +279,7 @@ TEST(ChainTest, StrongEmissionDominates) {
   emission(1, 1) = 1.0f;
   emission(2, 0) = 1.0f;
   util::Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  util::ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
   EXPECT_GT(gamma(0, 0), 0.95f);
   EXPECT_GT(gamma(1, 1), 0.95f);
   EXPECT_GT(gamma(2, 0), 0.95f);
@@ -295,7 +297,7 @@ TEST(ChainTest, TransitionSmoothsAmbiguousStep) {
   emission(0, 1) = 0.01f;
   emission(2, 1) = 0.01f;
   util::Matrix gamma;
-  ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
+  util::ChainForwardBackward(prior, transition, emission, &gamma, nullptr);
   EXPECT_GT(gamma(1, 0), 0.9f);
 }
 
@@ -306,7 +308,7 @@ TEST(ChainTest, XiSumsAccumulate) {
   util::Matrix emission(4, k, 1.0f);
   util::Matrix gamma;
   util::Matrix xi(k, k);
-  ChainForwardBackward(prior, transition, emission, &gamma, &xi);
+  util::ChainForwardBackward(prior, transition, emission, &gamma, &xi);
   double total = 0.0;
   for (int a = 0; a < k; ++a) {
     for (int b = 0; b < k; ++b) total += xi(a, b);
@@ -563,6 +565,271 @@ TEST(GladToyTest, HardItemsGetHigherDifficulty) {
     mean_hard += detailed.difficulty[i];
   }
   EXPECT_GT(mean_hard / n_hard, mean_easy / n_easy);
+}
+
+// ------------------------------------ Hoisted-log bit-equality references --
+//
+// Compact copies of the per-label-log E-steps the zoo used before its
+// likelihood logs were hoisted into per-iteration tables, and of the
+// nested-vector chain smoother. The library must reproduce them byte for
+// byte: the tables hold the same floats, added in the same order.
+
+template <typename T>
+bool BytesEqual(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool BytesEqual(const util::Matrix& a, const util::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// The shared normalize-and-delta block, as each method spelled it.
+void RefNormalize(const util::Vector& lp, util::Vector* q, double* delta) {
+  const int k = static_cast<int>(lp.size());
+  float mx = lp[0];
+  for (int m = 1; m < k; ++m) mx = std::max(mx, lp[m]);
+  double sum = 0.0;
+  util::Vector nq(k);
+  for (int m = 0; m < k; ++m) {
+    nq[m] = std::exp(lp[m] - mx);
+    sum += nq[m];
+  }
+  for (int m = 0; m < k; ++m) {
+    nq[m] = static_cast<float>(nq[m] / sum);
+    *delta += std::fabs(nq[m] - (*q)[m]);
+  }
+  *q = nq;
+}
+
+std::vector<util::Vector> RefDawidSkene(const ItemView& view, int iters,
+                                        double smoothing, double diag) {
+  const int k = view.num_classes;
+  std::vector<util::Vector> q(view.items.size());
+  for (size_t i = 0; i < view.items.size(); ++i) {
+    q[i].assign(k, 0.0f);
+    if (view.items[i].labels.empty()) {
+      for (float& v : q[i]) v = 1.0f / k;
+      continue;
+    }
+    for (const auto& [j, y] : view.items[i].labels) q[i][y] += 1.0f;
+    const float inv = 1.0f / static_cast<float>(view.items[i].labels.size());
+    for (float& v : q[i]) v *= inv;
+  }
+  crowd::ConfusionSet pis(view.num_annotators, crowd::ConfusionMatrix(k));
+  std::vector<double> prior(k);
+  for (int iter = 0; iter < iters; ++iter) {
+    for (auto& pi : pis) pi.matrix().Zero();
+    std::vector<double> counts(k, smoothing);
+    for (size_t i = 0; i < view.items.size(); ++i) {
+      for (int m = 0; m < k; ++m) counts[m] += q[i][m];
+      for (const auto& [j, y] : view.items[i].labels) {
+        for (int m = 0; m < k; ++m) pis[j](m, y) += q[i][m];
+      }
+    }
+    for (auto& pi : pis) {
+      for (int m = 0; m < k && diag > 0.0; ++m) {
+        pi(m, m) += static_cast<float>(diag);
+      }
+      pi.NormalizeRows(smoothing);
+    }
+    double total = 0.0;
+    for (double c : counts) total += c;
+    for (int m = 0; m < k; ++m) prior[m] = counts[m] / total;
+    double delta = 0.0;
+    for (size_t i = 0; i < view.items.size(); ++i) {
+      util::Vector lp(k);
+      for (int m = 0; m < k; ++m) {
+        lp[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
+      }
+      for (const auto& [j, y] : view.items[i].labels) {
+        for (int m = 0; m < k; ++m) {
+          lp[m] += static_cast<float>(
+              std::log(std::max(static_cast<double>(pis[j](m, y)), 1e-300)));
+        }
+      }
+      RefNormalize(lp, &q[i], &delta);
+    }
+  }
+  return q;
+}
+
+std::vector<util::Vector> RefMace(const ItemView& view,
+                                  const Mace::Options& o) {
+  const int k = view.num_classes;
+  const int a = view.num_annotators;
+  std::vector<double> eps(a, o.eps_init);
+  std::vector<std::vector<double>> xi(a, std::vector<double>(k, 1.0 / k));
+  std::vector<double> prior(k, 1.0 / k);
+  std::vector<util::Vector> q(view.items.size(), util::Vector(k, 1.0f / k));
+  for (int iter = 0; iter < o.max_iters; ++iter) {
+    double delta = 0.0;
+    for (size_t i = 0; i < view.items.size(); ++i) {
+      util::Vector lp(k);
+      for (int m = 0; m < k; ++m) {
+        lp[m] = static_cast<float>(std::log(std::max(prior[m], 1e-300)));
+      }
+      for (const auto& [j, y] : view.items[i].labels) {
+        for (int m = 0; m < k; ++m) {
+          const double like =
+              (m == y ? (1.0 - eps[j]) : 0.0) + eps[j] * xi[j][y];
+          lp[m] += static_cast<float>(std::log(std::max(like, 1e-300)));
+        }
+      }
+      RefNormalize(lp, &q[i], &delta);
+    }
+    std::vector<double> spam_mass(a, o.smoothing);
+    std::vector<double> label_mass(a, 2.0 * o.smoothing);
+    std::vector<std::vector<double>> xi_counts(
+        a, std::vector<double>(k, o.smoothing));
+    std::vector<double> prior_counts(k, o.smoothing);
+    for (size_t i = 0; i < view.items.size(); ++i) {
+      for (int m = 0; m < k; ++m) prior_counts[m] += q[i][m];
+      for (const auto& [j, y] : view.items[i].labels) {
+        double r = 0.0;
+        for (int m = 0; m < k; ++m) {
+          const double spam = eps[j] * xi[j][y];
+          const double honest = m == y ? (1.0 - eps[j]) : 0.0;
+          r += q[i][m] * spam / std::max(spam + honest, 1e-300);
+        }
+        spam_mass[j] += r;
+        label_mass[j] += 1.0;
+        xi_counts[j][y] += r;
+      }
+    }
+    for (int j = 0; j < a; ++j) {
+      eps[j] = std::clamp(spam_mass[j] / label_mass[j], 1e-4, 1.0 - 1e-4);
+      double total = 0.0;
+      for (int m = 0; m < k; ++m) total += xi_counts[j][m];
+      for (int m = 0; m < k; ++m) xi[j][m] = xi_counts[j][m] / total;
+    }
+    double total = 0.0;
+    for (double c : prior_counts) total += c;
+    for (int m = 0; m < k; ++m) prior[m] = prior_counts[m] / total;
+  }
+  return q;
+}
+
+void RefChain(const util::Vector& prior, const util::Matrix& transition,
+              const util::Matrix& emission, util::Matrix* gamma,
+              util::Matrix* xi_sum) {
+  const int t_len = emission.rows();
+  const int k = emission.cols();
+  gamma->Resize(t_len, k);
+  auto normalize = [k](std::vector<double>* v) {
+    double sum = 0.0;
+    for (double x : *v) sum += x;
+    for (double& x : *v) x = sum <= 1e-300 ? 1.0 / k : x / sum;
+  };
+  std::vector<std::vector<double>> alpha(t_len, std::vector<double>(k));
+  std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
+  for (int m = 0; m < k; ++m) alpha[0][m] = prior[m] * emission(0, m);
+  normalize(&alpha[0]);
+  for (int t = 1; t < t_len; ++t) {
+    for (int b = 0; b < k; ++b) {
+      double s = 0.0;
+      for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * transition(a, b);
+      alpha[t][b] = s * emission(t, b);
+    }
+    normalize(&alpha[t]);
+  }
+  for (int t = t_len - 2; t >= 0; --t) {
+    for (int a = 0; a < k; ++a) {
+      double s = 0.0;
+      for (int b = 0; b < k; ++b) {
+        s += transition(a, b) * emission(t + 1, b) * beta[t + 1][b];
+      }
+      beta[t][a] = s;
+    }
+    normalize(&beta[t]);
+  }
+  for (int t = 0; t < t_len; ++t) {
+    std::vector<double> g(k);
+    for (int m = 0; m < k; ++m) g[m] = alpha[t][m] * beta[t][m];
+    normalize(&g);
+    for (int m = 0; m < k; ++m) (*gamma)(t, m) = static_cast<float>(g[m]);
+  }
+  for (int t = 0; t + 1 < t_len; ++t) {
+    double total = 0.0;
+    std::vector<double> xi(static_cast<size_t>(k) * k);
+    for (int a = 0; a < k; ++a) {
+      for (int b = 0; b < k; ++b) {
+        xi[a * k + b] = alpha[t][a] * transition(a, b) * emission(t + 1, b) *
+                        beta[t + 1][b];
+        total += xi[a * k + b];
+      }
+    }
+    if (total <= 1e-300) continue;
+    for (int a = 0; a < k; ++a) {
+      for (int b = 0; b < k; ++b) {
+        (*xi_sum)(a, b) += static_cast<float>(xi[a * k + b] / total);
+      }
+    }
+  }
+}
+
+TEST_F(SequenceInferenceTest, DawidSkeneMatchesPerLabelLogReference) {
+  const ItemView view = FlattenItems(*annotations_, *items_);
+  DawidSkene::Options o;
+  o.max_iters = 6;
+  o.tol = 0.0;
+  for (double diag : {0.0, 2.0}) {  // plain DS, then IBCC's diagonal prior
+    const std::vector<util::Vector> got =
+        DawidSkene(o).Run(view, diag, nullptr);
+    const std::vector<util::Vector> want =
+        RefDawidSkene(view, o.max_iters, o.smoothing, diag);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(BytesEqual(got[i], want[i])) << "item " << i;
+    }
+  }
+}
+
+TEST_F(SequenceInferenceTest, MaceMatchesPerLabelLogReference) {
+  const ItemView view = FlattenItems(*annotations_, *items_);
+  Mace::Options o;
+  o.max_iters = 6;
+  o.tol = 0.0;
+  const std::vector<util::Matrix> got =
+      Mace(o).RunDetailed(*annotations_, *items_).posteriors;
+  const std::vector<util::Matrix> want =
+      UnflattenPosteriors(view, RefMace(view, o));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(BytesEqual(got[i], want[i])) << "instance " << i;
+  }
+}
+
+TEST(ChainTest, MatchesNestedVectorReference) {
+  // Random chains of several lengths (1 exercises the no-pair path) with
+  // xi_sum accumulated across calls, as an EM E-step does.
+  Rng rng(99);
+  const int k = 9;
+  util::Vector prior(k);
+  util::Matrix transition(k, k);
+  for (int a = 0; a < k; ++a) {
+    prior[a] = static_cast<float>(rng.Uniform(0.1, 1.0));
+    for (int b = 0; b < k; ++b) {
+      transition(a, b) = static_cast<float>(rng.Uniform(0.01, 1.0));
+    }
+  }
+  util::Matrix got_xi(k, k), want_xi(k, k);
+  for (int t_len : {13, 1, 2, 30, 13}) {
+    util::Matrix emission(t_len, k);
+    for (int t = 0; t < t_len; ++t) {
+      for (int m = 0; m < k; ++m) {
+        emission(t, m) = static_cast<float>(rng.Uniform(1e-4, 1.0));
+      }
+    }
+    util::Matrix got, want;
+    util::ChainForwardBackward(prior, transition, emission, &got, &got_xi);
+    RefChain(prior, transition, emission, &want, &want_xi);
+    EXPECT_TRUE(BytesEqual(got, want)) << "T = " << t_len;
+    EXPECT_TRUE(BytesEqual(got_xi, want_xi)) << "T = " << t_len;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -1141,6 +1142,38 @@ TEST(SerializeTest, RejectsMismatchedNameOrShape) {
   SaveParams(ss2, {&a});
   Parameter wrong_shape("x", 2, 3);
   EXPECT_FALSE(LoadParams(ss2, {&wrong_shape}));
+}
+
+TEST(SerializeTest, RejectsHugeNameLengthBeforeAllocating) {
+  // A corrupt header claiming a 4 GiB name must fail on the length check,
+  // not on an allocation of that size.
+  std::stringstream ss;
+  const uint32_t header[] = {0x4c4e434c, 1, 0xFFFFFFFFu};
+  ss.write(reinterpret_cast<const char*>(header), sizeof(header));
+  Parameter a("x", 2, 2);
+  EXPECT_FALSE(LoadParams(ss, {&a}));
+}
+
+TEST(SerializeTest, TruncatedFileLeavesParamsUnchanged) {
+  Rng rng(52);
+  Parameter a("layer.w", 3, 4), b("layer.b", 1, 4);
+  GlorotInit(&rng, &a.value);
+  GlorotInit(&rng, &b.value);
+  std::stringstream full;
+  SaveParams(full, {&a, &b});
+  const std::string bytes = full.str();
+  // Cut the file inside the payload of its last record.
+  std::stringstream cut(bytes.substr(0, bytes.size() - 2 * sizeof(float)));
+
+  Parameter a2("layer.w", 3, 4), b2("layer.b", 1, 4);
+  a2.value.Fill(7.0f);
+  b2.value.Fill(-3.0f);
+  const util::Matrix a_before = a2.value, b_before = b2.value;
+  EXPECT_FALSE(LoadParams(cut, {&a2, &b2}));
+  EXPECT_EQ(std::memcmp(a2.value.data(), a_before.data(),
+                        a_before.size() * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(b2.value.data(), b_before.data(),
+                        b_before.size() * sizeof(float)), 0);
 }
 
 TEST(SerializeTest, SnapshotRestore) {
