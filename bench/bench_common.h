@@ -34,10 +34,10 @@ struct Scale {
   int runs = 0;
   int batch = 0;
   int patience = 5;
-  // Deterministic intra-model threads per fit (LogicLnclConfig.threads):
-  // 0 keeps the legacy serial trajectory; >=1 selects the sharded
-  // bit-reproducible path with that many threads. Set --intra_threads when
-  // runs < cores and the per-run parallelism of ForEachRun leaves cores idle.
+  // Deterministic intra-model threads per fit (LogicLnclConfig.threads; 0
+  // and 1 both mean one thread). Results never depend on it. Set
+  // --intra_threads when runs < cores and the per-run parallelism of
+  // ForEachRun leaves cores idle.
   int intra_threads = 0;
 };
 

@@ -162,17 +162,18 @@ void BM_GruForwardBackward(benchmark::State& state) {
 BENCHMARK(BM_GruForwardBackward)->Arg(10)->Arg(20)->Arg(40);
 
 // The batched inference recurrence (E-step / dev-eval PredictBatch): B
-// equal-length sequences per call, items = tokens. B = 1 is the
-// per-instance cost, so the pair shows what packing buys per token.
+// equal-length lanes per call, items = tokens. B = 1 is the per-instance
+// cost, so the pair shows what packing buys per token.
 void BM_GruForwardPacked(benchmark::State& state) {
   util::Rng rng(3);
   const int batch = static_cast<int>(state.range(0));
   const int t_len = static_cast<int>(state.range(1));
   nn::Gru gru("gru", 64, 32, &rng);
   const util::Matrix x = RandomMatrix(batch * t_len, 64, &rng);
+  const std::vector<int> lengths(batch, t_len);
   util::Matrix h;
   for (auto _ : state) {
-    gru.ForwardPacked(x, batch, t_len, &h);
+    gru.Forward(x, lengths, nullptr, &h);
     benchmark::DoNotOptimize(h.data());
     benchmark::ClobberMemory();
   }
@@ -239,6 +240,46 @@ void BM_NerTaggerTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * t_len);
 }
 BENCHMARK(BM_NerTaggerTrainStep);
+
+// One 16-sentence minibatch through NerTagger::TrainBatch (the M-step's
+// unit of work) on one thread, lengths drawn from the NER generator's range
+// (8-18 tokens). us_per_sentence is comparable with BM_NerTaggerTrainStep's
+// per-sentence time.
+void BM_NerTaggerTrainBatch(benchmark::State& state) {
+  util::Rng rng(6);
+  auto emb = std::make_shared<data::EmbeddingTable>(500, 32);
+  for (int v = 1; v < 500; ++v) {
+    for (int d = 0; d < 32; ++d) {
+      emb->table()(v, d) = static_cast<float>(rng.Gaussian());
+    }
+  }
+  models::NerTaggerConfig config;
+  models::NerTagger tagger(config, emb, &rng);
+  constexpr int kBatch = 16;
+  std::vector<data::Instance> xs(kBatch);
+  std::vector<util::Matrix> qs;
+  models::TrainHead head;
+  std::vector<const data::Instance*> batch;
+  for (data::Instance& x : xs) {
+    const int t_len = 8 + rng.UniformInt(11);
+    for (int i = 0; i < t_len; ++i) x.tokens.push_back(1 + rng.UniformInt(499));
+    util::Matrix q(t_len, 9);
+    for (int t = 0; t < t_len; ++t) q(t, t % 9) = 1.0f;
+    qs.push_back(std::move(q));
+    batch.push_back(&x);
+  }
+  for (const util::Matrix& q : qs) head.targets.push_back(&q);
+  std::vector<double> losses;
+  for (auto _ : state) {
+    tagger.TrainBatch(batch, head, &rng, nullptr, &losses);
+    nn::ZeroGrads(tagger.Params());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+  state.counters["us_per_sentence"] = benchmark::Counter(
+      kBatch * 1e-6, benchmark::Counter::kIsIterationInvariantRate |
+                        benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_NerTaggerTrainBatch);
 
 // One Adam update over the NER tagger's parameters (the bench model config).
 // Step() zeroes the gradients it consumes, so each iteration first restores

@@ -179,9 +179,7 @@ void Run(int argc, char** argv) {
       std::unique_ptr<models::Model> model = cnn(&rng);
       core::SentimentButRule rule(model.get(), setup.corpus.but_token);
       const core::LogicLnclConfig lcfg = SentimentLnclConfig(scale);
-      // `cnn` doubles as the replica factory for the sharded training path
-      // (only used when --intra_threads >= 1).
-      core::LogicLncl m(lcfg, std::move(model), &rule, cnn);
+      core::LogicLncl m(lcfg, std::move(model), &rule);
       m.Fit(train, ann, dev, &rng);
       const double inference = eval::PosteriorAccuracy(m.qf(), train);
       collect.Add("Logic-LNCL-student",
@@ -290,7 +288,7 @@ void Run(int argc, char** argv) {
     core::LogicLnclConfig lcfg = SentimentLnclConfig(scale);
     lcfg.batch_predict = batched;
     if (batched && run_log != nullptr) lcfg.run_observer = run_log.get();
-    core::LogicLncl m(lcfg, std::move(model), &rule, cnn);
+    core::LogicLncl m(lcfg, std::move(model), &rule);
     core::LogicLnclResult res;
     {
       LNCL_TRACE_SPAN_ARG("timed_fit", "batched", batched ? 1 : 0);

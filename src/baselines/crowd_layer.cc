@@ -77,6 +77,7 @@ void CrowdLayer::AnnotatorBackward(int annotator, const util::Vector& p,
 CrowdLayerResult CrowdLayer::Fit(const data::Dataset& train,
                                  const crowd::AnnotationSet& annotations,
                                  const data::Dataset& dev, util::Rng* rng) {
+  LNCL_CHECK(config_.batch_size > 0);
   CrowdLayerResult result;
   model_ = factory_(rng);
   const int k = model_->num_classes();
@@ -125,36 +126,45 @@ CrowdLayerResult CrowdLayer::Fit(const data::Dataset& train,
 
   core::EarlyStopper stopper(config_.patience);
 
+  // The crowd-layer head: dLoss/dp of an instance's annotator losses, with
+  // the annotator gradients accumulated as a side effect. TrainBatch calls
+  // it in minibatch order, so those gradients sum in instance order.
   std::vector<int> order(train.size());
   std::iota(order.begin(), order.end(), 0);
-  util::Vector p_item, scores_j;
+  std::vector<const data::Instance*> xs;
+  std::vector<int> batch_idx;
+  models::TrainHead head;
+  util::Vector p_item, scores_j, grad_p;
+  head.prob_grad = [&](int b, const util::Matrix& probs,
+                       util::Matrix* grad_probs) {
+    for (const crowd::AnnotatorLabels& e :
+         annotations.instance(batch_idx[b]).entries) {
+      for (int t = 0; t < probs.rows(); ++t) {
+        p_item.assign(probs.Row(t), probs.Row(t) + k);
+        AnnotatorForward(e.annotator, p_item, &scores_j);
+        grad_p.assign(k, 0.0f);
+        AnnotatorBackward(e.annotator, p_item, scores_j, e.labels[t],
+                          &grad_p);
+        float* gp_row = grad_probs->Row(t);
+        for (int m = 0; m < k; ++m) gp_row[m] += grad_p[m];
+      }
+    }
+  };
+  std::vector<double> unused_losses;
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     nn::ApplyLrSchedule(config_.optimizer, epoch, optimizer.get());
     rng->Shuffle(&order);
-    int in_batch = 0;
-    for (int idx : order) {
-      const data::Instance& x = train.instances[idx];
-      const util::Matrix& probs = model_->ForwardTrain(x, rng);
-      util::Matrix grad_probs(probs.rows(), probs.cols());
-      for (const crowd::AnnotatorLabels& e :
-           annotations.instance(idx).entries) {
-        for (int t = 0; t < probs.rows(); ++t) {
-          p_item.assign(probs.Row(t), probs.Row(t) + k);
-          AnnotatorForward(e.annotator, p_item, &scores_j);
-          util::Vector grad_p(k, 0.0f);
-          AnnotatorBackward(e.annotator, p_item, scores_j, e.labels[t],
-                            &grad_p);
-          float* gp_row = grad_probs.Row(t);
-          for (int m = 0; m < k; ++m) gp_row[m] += grad_p[m];
-        }
-      }
-      model_->BackwardProbGrad(grad_probs, 1.0f);
-      if (++in_batch == config_.batch_size) {
-        optimizer->Step(all_params);
-        in_batch = 0;
-      }
+    for (size_t start = 0; start < order.size();
+         start += static_cast<size_t>(config_.batch_size)) {
+      const size_t end = std::min(
+          order.size(), start + static_cast<size_t>(config_.batch_size));
+      xs.clear();
+      batch_idx.assign(order.begin() + static_cast<long>(start),
+                       order.begin() + static_cast<long>(end));
+      for (int idx : batch_idx) xs.push_back(&train.instances[idx]);
+      model_->TrainBatch(xs, head, rng, nullptr, &unused_losses);
+      optimizer->Step(all_params);
     }
-    if (in_batch > 0) optimizer->Step(all_params);
     if (stopper.Update(eval::DevScore(*model_, dev), all_params)) break;
   }
   stopper.Restore(all_params);

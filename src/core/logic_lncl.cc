@@ -78,10 +78,8 @@ LogicLncl::LogicLncl(LogicLnclConfig config, models::ModelFactory factory,
 LogicLncl::LogicLncl(LogicLnclConfig config,
                      std::unique_ptr<models::Model> model,
                      const logic::RuleProjector* projector,
-                     models::ModelFactory replica_factory)
-    : config_(std::move(config)),
-      factory_(std::move(replica_factory)),
-      projector_(projector) {
+                     models::ModelFactory /*unused*/)
+    : config_(std::move(config)), projector_(projector) {
   if (!config_.k_schedule) config_.k_schedule = ConstantK(0.0);
   model_ = std::move(model);
 }
@@ -110,25 +108,10 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       nn::MakeOptimizer(config_.optimizer);
   const std::vector<nn::Parameter*> params = model_->Params();
 
-  // Deterministic parallel execution (config_.threads >= 1): a fixed slot
-  // structure makes every reduction order independent of the thread count,
-  // so any threads >= 1 produces bit-identical results. threads == 0 keeps
-  // the legacy serial trajectory.
-  const bool sharded = config_.threads >= 1;
+  // Intra-model parallelism for the M-step lanes and the E-step slots.
+  // Neither split changes a result (DESIGN.md §5), so any threads setting
+  // follows the same trajectory; 0 means one thread.
   util::Parallelizer exec(std::max(1, config_.threads));
-  std::vector<std::unique_ptr<models::Model>> replicas;
-  std::vector<models::Model*> slot_models;
-  if (sharded && factory_) {
-    // Replica initial weights are irrelevant (values are synced from the
-    // master before every batch); a fixed-seed throwaway rng keeps the
-    // caller's stream untouched.
-    util::Rng replica_rng(0x51ced0c5u);
-    slot_models.push_back(model_.get());
-    for (int s = 1; s < util::Parallelizer::kSlots; ++s) {
-      replicas.push_back(factory_(&replica_rng));
-      slot_models.push_back(replicas.back().get());
-    }
-  }
 
   // Line 1 of Algorithm 1: initialize q_f with Majority Voting.
   qf_ = annotations.MajorityVote(inference::ItemsPerInstance(train));
@@ -181,18 +164,14 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       double loss = 0.0;
       {
         obs::PhaseSpan span("m_step", &result.phase_seconds.m_step);
-        loss = slot_models.empty()
-                   ? RunMinibatchEpoch(train, qf_, weights, config_.batch_size,
-                                       model_.get(), optimizer.get(), rng)
-                   : RunMinibatchEpochSharded(
-                         train, qf_, weights, config_.batch_size, model_.get(),
-                         slot_models, optimizer.get(), rng, &exec);
+        loss = RunMinibatchEpoch(train, qf_, weights, config_.batch_size,
+                                 model_.get(), optimizer.get(), rng, &exec);
       }
       result.loss_curve.push_back(loss);
       {
         obs::PhaseSpan span("confusion", &result.phase_seconds.confusion);
         UpdateConfusions(qf_, annotations, config_.confusion_smoothing,
-                         &confusions_, sharded ? &exec : nullptr);
+                         &confusions_);
       }
 
       // ---- Pseudo-E-step: q_a (Eq. 13), q_b (Eq. 15), q_f (Eq. 9).

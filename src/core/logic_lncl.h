@@ -40,14 +40,10 @@ struct LogicLnclConfig {
   int patience = 5;
   double confusion_smoothing = 0.01;
   nn::OptimizerConfig optimizer;
-  // Intra-model parallelism (see DESIGN.md §5).
-  //   0  — legacy serial training path (the historical trajectory).
-  //  >=1 — deterministic sharded path with that many threads: the E-step,
-  //        the confusion M-step, and (when a model factory is available)
-  //        minibatch gradient accumulation run over fixed slot partitions
-  //        with fixed-order reductions, so results are bit-identical for
-  //        every threads >= 1 setting. threads = 1 runs the same sharded
-  //        trajectory serially.
+  // Intra-model parallelism (see DESIGN.md §5): the threads that split each
+  // minibatch's lanes (Model::TrainBatch) and the E-step slots. 0 and 1 both
+  // mean one thread. Every reduction keeps a fixed order, so this setting
+  // never changes a result — any value gives the same trajectory.
   int threads = 0;
   // Use Model::PredictBatch for the E-step sweep, dev evaluation, and
   // rule projection (one batched clause-B prediction per slot instead of one
@@ -124,13 +120,12 @@ class LogicLncl {
   // Takes a pre-built model instead of a factory. This is how the sentiment
   // "but" rule is wired: the projector must consult the very model being
   // trained, so the caller builds the model first, binds the projector to
-  // it, and hands both over. `replica_factory` (optional) builds
-  // architecture-matched replicas for the sharded training path when
-  // config.threads >= 1; without it, minibatch training stays on the legacy
-  // serial path (the parallel E-step still applies).
+  // it, and hands both over. The fourth parameter is unused: it once built
+  // per-thread model replicas, and stays only so existing callers (the
+  // perfbench harness among them) keep compiling.
   LogicLncl(LogicLnclConfig config, std::unique_ptr<models::Model> model,
             const logic::RuleProjector* projector,
-            models::ModelFactory replica_factory = nullptr);
+            models::ModelFactory unused_replica_factory = nullptr);
 
   // Trains on crowd labels; `dev` (with gold labels) drives early stopping.
   LogicLnclResult Fit(const data::Dataset& train,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <numeric>
 
 #include "obs/trace.h"
@@ -14,106 +13,34 @@ double RunMinibatchEpoch(const data::Dataset& dataset,
                          const std::vector<util::Matrix>& targets,
                          const std::vector<float>& weights, int batch_size,
                          models::Model* model, nn::Optimizer* optimizer,
-                         util::Rng* rng) {
+                         util::Rng* rng, util::Parallelizer* exec) {
+  LNCL_CHECK(batch_size > 0);
   LNCL_DCHECK(static_cast<int>(targets.size()) == dataset.size());
-  std::vector<int> order(dataset.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng->Shuffle(&order);
-
-  const std::vector<nn::Parameter*> params = model->Params();
-  double total_loss = 0.0;
-  int in_batch = 0;
-  for (int idx : order) {
-    const float w = weights.empty() ? 1.0f : weights[idx];
-    model->ForwardTrain(dataset.instances[idx], rng);
-    total_loss += model->BackwardSoftTarget(targets[idx], w);
-    if (++in_batch == batch_size) {
-      optimizer->Step(params);
-      in_batch = 0;
-    }
-  }
-  if (in_batch > 0) optimizer->Step(params);
-  return dataset.size() > 0 ? total_loss / dataset.size() : 0.0;
-}
-
-namespace {
-
-// splitmix64 finalizer; decorrelates per-instance dropout seeds.
-uint64_t Mix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-double RunMinibatchEpochSharded(const data::Dataset& dataset,
-                                const std::vector<util::Matrix>& targets,
-                                const std::vector<float>& weights,
-                                int batch_size, models::Model* master,
-                                const std::vector<models::Model*>& slot_models,
-                                nn::Optimizer* optimizer, util::Rng* rng,
-                                util::Parallelizer* exec) {
-  constexpr int kSlots = util::Parallelizer::kSlots;
-  LNCL_DCHECK(static_cast<int>(targets.size()) == dataset.size());
-  LNCL_DCHECK(static_cast<int>(slot_models.size()) == kSlots);
   const int n = dataset.size();
   std::vector<int> order(n);
   std::iota(order.begin(), order.end(), 0);
   rng->Shuffle(&order);
-  const uint64_t epoch_seed = rng->engine()();
 
-  const std::vector<nn::Parameter*> master_params = master->Params();
-  std::vector<std::vector<nn::Parameter*>> slot_params(slot_models.size());
-  for (size_t s = 0; s < slot_models.size(); ++s) {
-    slot_params[s] = slot_models[s]->Params();
-    LNCL_DCHECK(slot_params[s].size() == master_params.size());
-  }
-  const auto sync_replicas = [&] {
-    for (size_t s = 0; s < slot_models.size(); ++s) {
-      if (slot_models[s] == master) continue;
-      for (size_t p = 0; p < master_params.size(); ++p) {
-        slot_params[s][p]->value = master_params[p]->value;
-      }
-    }
-  };
-  // Replicas may be stale (previous epoch's last step, or an early-stopping
-  // restore into the master).
-  sync_replicas();
-
+  const std::vector<nn::Parameter*> params = model->Params();
+  std::vector<const data::Instance*> xs;
+  models::TrainHead head;
+  std::vector<double> losses;
   double total_loss = 0.0;
   for (int start = 0; start < n; start += batch_size) {
     LNCL_TRACE_SPAN_ARG("minibatch", "start", start);
-    const int len = std::min(batch_size, n - start);
-    double slot_loss[kSlots] = {0.0};
-    exec->RunSlots(kSlots, [&](int s) {
-      LNCL_TRACE_SPAN_ARG("m_step_shard", "slot", s);
-      const auto [b, e] = util::Parallelizer::SlotRange(len, s, kSlots);
-      models::Model* m = slot_models[s];
-      for (int p = b; p < e; ++p) {
-        const int pos = start + p;  // position in the shuffled epoch order
-        const int idx = order[pos];
-        // Dropout stream keyed by (epoch seed, position): the sampled masks
-        // are a pure function of the epoch, not of execution order.
-        util::Rng inst_rng(Mix64(epoch_seed ^ static_cast<uint64_t>(pos)));
-        const float w = weights.empty() ? 1.0f : weights[idx];
-        m->ForwardTrain(dataset.instances[idx], &inst_rng);
-        slot_loss[s] += m->BackwardSoftTarget(targets[idx], w);
-      }
-    });
-    // Fixed-order reduction: losses and gradients merge in slot index order
-    // no matter which thread ran which slot.
-    for (int s = 0; s < kSlots; ++s) total_loss += slot_loss[s];
-    for (int s = 0; s < kSlots; ++s) {
-      if (slot_models[s] == master) continue;
-      for (size_t p = 0; p < master_params.size(); ++p) {
-        master_params[p]->grad.AddScaled(slot_params[s][p]->grad, 1.0f);
-        slot_params[s][p]->grad.Zero();
-      }
+    const int end = std::min(n, start + batch_size);
+    xs.clear();
+    head.targets.clear();
+    head.weights.clear();
+    for (int pos = start; pos < end; ++pos) {
+      const int idx = order[pos];
+      xs.push_back(&dataset.instances[idx]);
+      head.targets.push_back(&targets[idx]);
+      if (!weights.empty()) head.weights.push_back(weights[idx]);
     }
-    optimizer->Step(master_params);
-    sync_replicas();
+    model->TrainBatch(xs, head, rng, exec, &losses);
+    for (double loss : losses) total_loss += loss;
+    optimizer->Step(params);
   }
   return n > 0 ? total_loss / n : 0.0;
 }
@@ -163,56 +90,24 @@ util::Matrix ComputeQa(const util::Matrix& probs,
 
 void UpdateConfusions(const std::vector<util::Matrix>& qf,
                       const crowd::AnnotationSet& annotations,
-                      double smoothing, crowd::ConfusionSet* confusions,
-                      util::Parallelizer* exec) {
+                      double smoothing, crowd::ConfusionSet* confusions) {
   const int k = annotations.num_classes();
   const int num_annotators = annotations.num_annotators();
   if (confusions->size() != static_cast<size_t>(num_annotators)) {
     confusions->assign(num_annotators, crowd::ConfusionMatrix(k, 0.7));
   }
-  for (auto& pi : *confusions) pi.matrix().Zero();
-  if (exec == nullptr) {
-    for (int i = 0; i < annotations.num_instances(); ++i) {
-      const util::Matrix& q = qf[i];
-      for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
-        for (size_t t = 0; t < e.labels.size(); ++t) {
-          const int row = static_cast<int>(t);
-          for (int m = 0; m < k; ++m) {
-            (*confusions)[e.annotator](m, e.labels[t]) += q(row, m);
-          }
-        }
-      }
-    }
-  } else {
-    // Sharded accumulation: per-slot count buffers over a fixed static
-    // partition of the instances, merged in slot order.
-    constexpr int kSlots = util::Parallelizer::kSlots;
-    std::vector<std::vector<util::Matrix>> acc(kSlots);
-    exec->RunSlots(kSlots, [&](int s) {
-      LNCL_TRACE_SPAN_ARG("confusion_shard", "slot", s);
-      acc[s].assign(num_annotators, util::Matrix(k, k));
-      const auto [b, e_end] = util::Parallelizer::SlotRange(
-          annotations.num_instances(), s, kSlots);
-      for (int i = b; i < e_end; ++i) {
-        const util::Matrix& q = qf[i];
-        for (const crowd::AnnotatorLabels& e :
-             annotations.instance(i).entries) {
-          util::Matrix& counts = acc[s][e.annotator];
-          for (size_t t = 0; t < e.labels.size(); ++t) {
-            const int row = static_cast<int>(t);
-            for (int m = 0; m < k; ++m) {
-              counts(m, e.labels[t]) += q(row, m);
-            }
-          }
-        }
-      }
-    });
-    for (int s = 0; s < kSlots; ++s) {
-      for (int a = 0; a < num_annotators; ++a) {
-        (*confusions)[a].matrix().AddScaled(acc[s][a], 1.0f);
+  crowd::ConfusionCounts counts(num_annotators, k);
+  for (int i = 0; i < annotations.num_instances(); ++i) {
+    const util::Matrix& q = qf[i];
+    for (const crowd::AnnotatorLabels& e : annotations.instance(i).entries) {
+      for (size_t t = 0; t < e.labels.size(); ++t) {
+        const float* qt = q.Row(static_cast<int>(t));
+        float* row = counts.Row(e.annotator, e.labels[t]);
+        for (int m = 0; m < k; ++m) row[m] += qt[m];
       }
     }
   }
+  counts.Store(confusions);
   // NormalizeRows audits each matrix row-stochastic (Eq. 12).
   for (auto& pi : *confusions) pi.NormalizeRows(smoothing);
 }

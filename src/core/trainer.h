@@ -23,36 +23,17 @@ namespace lncl::core {
 //   weight_i * CE(targets[i], p(x_i))
 // before an optimizer step (Eq. 11). `weights` may be empty (all ones) —
 // when present it carries num(J^(i)) for the weighted objective (Eq. 10).
-// Returns the mean per-instance loss.
+// Returns the mean per-instance loss. `batch_size` must be positive.
+//
+// This is the one epoch loop of every trainer: each minibatch is one
+// Model::TrainBatch call on `exec` (null = serial). Per-instance losses and
+// per-parameter gradients are summed in minibatch order whatever the thread
+// count, so the trajectory is the same byte for byte on any executor.
 double RunMinibatchEpoch(const data::Dataset& dataset,
                          const std::vector<util::Matrix>& targets,
                          const std::vector<float>& weights, int batch_size,
                          models::Model* model, nn::Optimizer* optimizer,
-                         util::Rng* rng);
-
-// Deterministic sharded variant of RunMinibatchEpoch.
-//
-// Each minibatch is split into util::Parallelizer::kSlots contiguous slots;
-// slot s accumulates its gradients into slot_models[s] (independent model
-// replicas sharing the master's architecture — slot_models[0] may be the
-// master itself). After the slots run — on however many threads `exec`
-// provides — losses and gradients are merged into the master in slot-index
-// order and the optimizer steps the master, whose values are then copied
-// back into the replicas. Dropout draws come from a per-instance generator
-// keyed by (epoch seed, position in the shuffled order), so the sampled
-// masks do not depend on execution order either. The result is bit-identical
-// for any thread count.
-//
-// Note the training trajectory differs from RunMinibatchEpoch's (different
-// dropout stream and summation order); the two are separate, individually
-// deterministic code paths.
-double RunMinibatchEpochSharded(const data::Dataset& dataset,
-                                const std::vector<util::Matrix>& targets,
-                                const std::vector<float>& weights,
-                                int batch_size, models::Model* master,
-                                const std::vector<models::Model*>& slot_models,
-                                nn::Optimizer* optimizer, util::Rng* rng,
-                                util::Parallelizer* exec);
+                         util::Rng* rng, util::Parallelizer* exec = nullptr);
 
 // Truth posterior of one instance given the classifier prior `probs`
 // (items x K) and the crowd labels, under the confusion-matrix likelihood —
@@ -74,15 +55,11 @@ util::Matrix ComputeQa(const util::Matrix& probs,
                        const std::vector<util::Matrix>& log_confusions);
 
 // Closed-form confusion-matrix update from soft truth estimates — Eq. 12.
-// `smoothing` is an additive pseudo-count before row normalization.
-// When `exec` is non-null the per-instance counts are accumulated into
-// util::Parallelizer::kSlots per-slot buffers and merged in slot order —
-// deterministic for any thread count, but a different (fixed) summation
-// order than the serial exec == nullptr path.
+// `smoothing` is an additive pseudo-count before row normalization. Counts
+// are added to label-major crowd::ConfusionCounts rows in instance order.
 void UpdateConfusions(const std::vector<util::Matrix>& qf,
                       const crowd::AnnotationSet& annotations,
-                      double smoothing, crowd::ConfusionSet* confusions,
-                      util::Parallelizer* exec = nullptr);
+                      double smoothing, crowd::ConfusionSet* confusions);
 
 // Early stopping on a dev score with patience, snapshotting the best
 // parameter values. Typical use:

@@ -15,6 +15,25 @@ void Model::PredictBatch(const std::vector<const data::Instance*>& xs,
   }
 }
 
+void Model::TrainBatch(const std::vector<const data::Instance*>& xs,
+                       const TrainHead& head, util::Rng* rng,
+                       util::Parallelizer* /*exec*/,
+                       std::vector<double>* losses) {
+  losses->assign(xs.size(), 0.0);
+  util::Matrix grad_probs;
+  for (size_t b = 0; b < xs.size(); ++b) {
+    const int i = static_cast<int>(b);
+    const util::Matrix& probs = ForwardTrain(*xs[b], rng);
+    if (head.prob_grad) {
+      grad_probs.Resize(probs.rows(), probs.cols());
+      head.prob_grad(i, probs, &grad_probs);
+      BackwardProbGrad(grad_probs, head.weight(i));
+    } else {
+      (*losses)[b] = BackwardSoftTarget(*head.targets[b], head.weight(i));
+    }
+  }
+}
+
 std::vector<util::Matrix> Model::PredictBatch(
     const data::Dataset& dataset, const std::vector<int>& indices) const {
   std::vector<const data::Instance*> xs;

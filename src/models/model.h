@@ -9,7 +9,32 @@
 #include "util/matrix.h"
 #include "util/rng.h"
 
+namespace lncl::util {
+class Parallelizer;
+}  // namespace lncl::util
+
 namespace lncl::models {
+
+// What one Model::TrainBatch call trains against, for instances xs[0..n):
+// the soft-target head when `prob_grad` is empty, the prob-grad head
+// otherwise.
+struct TrainHead {
+  // Soft-target head (Eqs. 10–11): instance b adds the gradients of
+  //   weights[b] * sum_items CE(targets[b] row, p_b row)
+  // and reports that loss. targets[b] must be items x K.
+  std::vector<const util::Matrix*> targets;
+  // Per-instance loss weights, both heads; empty means all ones.
+  std::vector<float> weights;
+  // Prob-grad head: called once per instance, in minibatch order, with the
+  // training-mode probabilities p_b; writes dLoss/dp_b into *grad_probs
+  // (handed over zeroed, items x K), which is back-propagated scaled by
+  // weights[b]. The crowd-layer baselines train through this head.
+  std::function<void(int b, const util::Matrix& probs,
+                     util::Matrix* grad_probs)>
+      prob_grad;
+
+  float weight(int b) const { return weights.empty() ? 1.0f : weights[b]; }
+};
 
 // Common interface for trainable classifiers.
 //
@@ -20,16 +45,16 @@ namespace lncl::models {
 // two-stage) and the crowd-layer baselines share a single code path across
 // both of the paper's applications.
 //
-// Training protocol: call ForwardTrain (dropout active, cache retained),
-// then exactly one of the Backward* methods, which accumulates parameter
-// gradients; the optimizer's Step() later consumes them.
+// Training protocol: TrainBatch runs one minibatch (dropout active) and
+// accumulates its parameter gradients; the optimizer's Step() later consumes
+// them. Its per-instance form is ForwardTrain (cache retained) followed by
+// exactly one of the Backward* methods.
 //
 // Threading: the const methods (Predict) are safe to call concurrently on
 // one instance — layer scratch buffers are thread-local — which is what the
-// parallel E-step relies on. The mutable training protocol is not: one
-// model replica per thread slot, with gradients merged in fixed slot order,
-// is how the sharded trainer uses them (see core/trainer.h and
-// DESIGN.md §5).
+// parallel E-step relies on. The mutable training entry points are not; a
+// model that parallelizes TrainBatch does so internally, with results that
+// never depend on the thread count (DESIGN.md §5).
 class Model {
  public:
   virtual ~Model() = default;
@@ -41,10 +66,11 @@ class Model {
   virtual util::Matrix Predict(const data::Instance& x) const = 0;
 
   // Batched evaluation-mode prediction: (*out)[i] is the prediction for
-  // *xs[i]. The base implementation loops Predict; TextCnn, NerTagger, and
+  // *xs[i]. The base implementation loops Predict; TextCnn and
   // LogisticRegression override it with length-bucketed packed kernels
-  // (embedding gather + [B*L, .] GEMMs + time-major recurrence) that produce
-  // results byte-for-byte equal to the per-instance path — the batch
+  // (embedding gather + [B*L, .] GEMMs), NerTagger with length-sorted
+  // variable-length lane batches (nn::Gru), all producing results
+  // byte-for-byte equal to the per-instance path — the batch
   // dimension only adds GEMM rows, it never reorders any reduction
   // (tests/batch_predict_test.cc). Thread-safety matches Predict: batch
   // temporaries live in the per-thread util::Workspace arena.
@@ -69,6 +95,19 @@ class Model {
   // Accumulates gradients for a caller-provided dLoss/dprobs (items x K),
   // scaled by w. Used by the crowd-layer baselines.
   virtual void BackwardProbGrad(const util::Matrix& grad_probs, float w) = 0;
+
+  // Trains on one minibatch: accumulates every instance's parameter
+  // gradients under `head` (drawing dropout from `rng` in minibatch order)
+  // and, for the soft-target head, writes (*losses)[b] = instance b's loss
+  // (0 under the prob-grad head). Each parameter receives its per-instance
+  // gradients in minibatch order, so the result equals looping ForwardTrain
+  // and Backward* over xs byte for byte; this base implementation is that
+  // loop. `exec` (nullable = serial) may spread the work over threads, which
+  // never changes a result.
+  virtual void TrainBatch(const std::vector<const data::Instance*>& xs,
+                          const TrainHead& head, util::Rng* rng,
+                          util::Parallelizer* exec,
+                          std::vector<double>* losses);
 
   virtual std::vector<nn::Parameter*> Params() = 0;
 

@@ -1,13 +1,53 @@
 #include "models/ner_tagger.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "obs/metrics.h"
 #include "nn/activations.h"
 #include "nn/dropout.h"
+#include "nn/lanes.h"
 #include "nn/softmax.h"
 #include "util/check.h"
-#include "util/workspace.h"
+#include "util/threadpool.h"
 
 namespace lncl::models {
+
+namespace {
+
+// Lanes per prediction chunk (at most kMaxPredictBatch). Per-lane results do
+// not depend on it; on the NER length mix 16 lanes predict as fast as 32 or
+// 64 and keep the per-thread buffers a quarter of the size.
+constexpr int kPredictLanes = std::min(16, kMaxPredictBatch);
+
+// Positions of xs sorted by non-increasing length, ties in input order: the
+// lane order of a packed batch.
+std::vector<int> LaneOrder(const std::vector<const data::Instance*>& xs) {
+  std::vector<int> order(xs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&xs](int a, int b) {
+    return xs[a]->tokens.size() > xs[b]->tokens.size();
+  });
+  return order;
+}
+
+// Rows [row, row + m.rows()) of `src`, copied into m (shape preset).
+void CopyRows(const util::Matrix& src, int row, util::Matrix* m) {
+  const float* from = src.Row(row);
+  std::copy(from, from + m->size(), m->data());
+}
+
+// The soft-target head (Eq. 10) on one instance: dL/dlogits of
+// w * sum_items CE(q, p), and that loss.
+double SoftTargetHead(const util::Matrix& q, const util::Matrix& probs,
+                      float w, util::Matrix* grad_logits) {
+  LNCL_DCHECK(q.rows() == probs.rows() && q.cols() == probs.cols());
+  LNCL_AUDIT_SIMPLEX(q);
+  nn::SoftmaxCrossEntropyGradRows(q, probs, w, grad_logits);
+  return w * nn::CrossEntropyRows(q, probs);
+}
+
+}  // namespace
 
 NerTagger::NerTagger(const NerTaggerConfig& config,
                      data::EmbeddingPtr embeddings, util::Rng* rng)
@@ -25,42 +65,98 @@ NerTagger::NerTagger(const NerTaggerConfig& config,
   }
 }
 
-void NerTagger::RecurrentForward(const util::Matrix& input,
-                                 nn::Gru::Cache* gru_cache,
-                                 nn::Lstm::Cache* lstm_cache,
-                                 util::Matrix* hidden) const {
+void NerTagger::Lanes::Assign(
+    std::vector<const data::Instance*> lane_xs,
+    std::vector<const std::vector<uint8_t>*> lane_masks) {
+  xs = std::move(lane_xs);
+  masks = std::move(lane_masks);
+  lengths.clear();
+  for (const data::Instance* x : xs) {
+    lengths.push_back(static_cast<int>(x->tokens.size()));
+  }
+  offsets = nn::LaneOffsets(lengths);
+}
+
+void NerTagger::Forward(Lanes* lanes, bool train) const {
+  std::vector<int> tokens;
+  tokens.reserve(lanes->offsets.back());
+  for (const data::Instance* x : lanes->xs) {
+    tokens.insert(tokens.end(), x->tokens.begin(), x->tokens.end());
+  }
+  embeddings_->Lookup(tokens, &lanes->embedded);
+  conv_.ForwardPacked(lanes->embedded, lanes->lengths, &lanes->conv_relu,
+                      util::Act::kRelu);
+  const util::Matrix* input = &lanes->conv_relu;
+  if (train) {
+    lanes->conv_dropped = lanes->conv_relu;
+    const int f = config_.conv_features;
+    for (size_t b = 0; b < lanes->xs.size(); ++b) {
+      const size_t n = static_cast<size_t>(lanes->lengths[b]) * f;
+      LNCL_DCHECK(lanes->masks[b]->size() == n);
+      nn::DropoutApply(config_.dropout, lanes->masks[b]->data(),
+                       lanes->conv_dropped.Row(lanes->offsets[b]), n);
+    }
+    input = &lanes->conv_dropped;
+  }
+  util::Matrix* hidden = &lanes->hidden;
   if (gru_ != nullptr) {
-    gru_->Forward(input, gru_cache, hidden);
+    if (train) hidden = &lanes->gru.h;
+    gru_->Forward(*input, lanes->lengths, train ? &lanes->gru : nullptr,
+                  hidden);
   } else {
-    lstm_->Forward(input, lstm_cache, hidden);
+    if (train) hidden = &lanes->lstm.h;
+    lstm_->Forward(*input, lanes->lengths, train ? &lanes->lstm : nullptr,
+                   hidden);
+  }
+  fc_.ForwardRows(*hidden, &lanes->logits);
+  nn::SoftmaxRows(lanes->logits, &lanes->probs);
+}
+
+void NerTagger::Backward(Lanes* lanes) const {
+  util::MatMul(lanes->grad_logits, fc_.weight().value, &lanes->grad_hidden);
+  if (gru_ != nullptr) {
+    gru_->Backward(lanes->conv_dropped, lanes->lengths, lanes->gru,
+                   lanes->grad_hidden, &lanes->gru_grads, &lanes->grad_conv);
+  } else {
+    lstm_->Backward(lanes->conv_dropped, lanes->lengths, lanes->lstm,
+                    lanes->grad_hidden, &lanes->lstm_grads,
+                    &lanes->grad_conv);
+  }
+  const int f = config_.conv_features;
+  for (size_t b = 0; b < lanes->xs.size(); ++b) {
+    nn::DropoutApply(config_.dropout, lanes->masks[b]->data(),
+                     lanes->grad_conv.Row(lanes->offsets[b]),
+                     static_cast<size_t>(lanes->lengths[b]) * f);
+  }
+  nn::ReluBackward(lanes->conv_relu, &lanes->grad_conv);
+}
+
+void NerTagger::AccumulateConvGrads(const Lanes& lanes, int lane) {
+  const int row = lanes.offsets[lane];
+  conv_.AccumulateGrads(lanes.embedded.Row(row), lanes.lengths[lane],
+                        lanes.grad_conv.Row(row));
+}
+
+void NerTagger::AccumulateSequenceGrads(const Lanes& lanes, int lane) {
+  const int row = lanes.offsets[lane];
+  const int rows = lanes.lengths[lane];
+  fc_.AccumulateGrads(TrainHidden(lanes).Row(row), lanes.grad_logits.Row(row),
+                      rows);
+  if (gru_ != nullptr) {
+    gru_->AccumulateGrads(lanes.conv_dropped, lanes.gru_grads, row, rows);
+  } else {
+    lstm_->AccumulateGrads(lanes.conv_dropped, lanes.lstm_grads, row, rows);
   }
 }
 
 util::Matrix NerTagger::Predict(const data::Instance& x) const {
-  util::Matrix embedded, conv_out, hidden, logits, probs;
-  embeddings_->Lookup(x.tokens, &embedded);
-  conv_.Forward(embedded, &conv_out, util::Act::kRelu);
-  nn::Gru::Cache gru_cache;
-  nn::Lstm::Cache lstm_cache;
-  RecurrentForward(conv_out, &gru_cache, &lstm_cache, &hidden);
-  fc_.ForwardRows(hidden, &logits);
-  nn::SoftmaxRows(logits, &probs);
-  return probs;
+  std::vector<util::Matrix> out;
+  PredictLanes({&x}, &out);
+  return std::move(out[0]);
 }
 
 void NerTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
                              std::vector<util::Matrix>* out) const {
-  out->resize(xs.size());
-  if (xs.empty()) return;
-
-  const int k_cls = config_.num_classes;
-  util::WorkspaceScope scope;
-  util::Matrix& packed = scope.NewMatrix();
-  util::Matrix& conv_out = scope.NewMatrix();
-  util::Matrix& hidden = scope.NewMatrix();
-  util::Matrix& logits = scope.NewMatrix();
-  util::Matrix& probs = scope.NewMatrix();
-
   if (quantized_predict_ && obs::Metrics::enabled()) {
     // Int8 serving visibility: per-call and per-instance volume through the
     // quantized path (the int8 GEMMs themselves count under gemm.int8.*).
@@ -71,41 +167,36 @@ void NerTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
     calls->Add(1);
     instances->Add(xs.size());
   }
+  PredictLanes(xs, out);
+}
 
-  std::vector<int> tokens;
-  for (const LengthBucket& bucket : BucketByLength(xs)) {
-    const int t = bucket.length;
-    if (t == 0) {
-      // Predict on an empty instance yields a 0 x K matrix.
-      for (int m : bucket.members) (*out)[m] = util::Matrix(0, k_cls);
-      continue;
-    }
-    const int batch = static_cast<int>(bucket.members.size());
+void NerTagger::PredictLanes(const std::vector<const data::Instance*>& xs,
+                             std::vector<util::Matrix>* out) const {
+  out->resize(xs.size());
+  const int k_cls = config_.num_classes;
+  const std::vector<int> order = LaneOrder(xs);
+  const int n = static_cast<int>(xs.size());
+  // Per-thread buffers, reused across calls: const prediction stays safe
+  // under the parallel E-step and allocates nothing in steady state.
+  thread_local Lanes lanes;
+  std::vector<const data::Instance*> chunk;
+  for (int start = 0; start < n; start += kPredictLanes) {
+    const int end = std::min(n, start + kPredictLanes);
     if (quantized_predict_ && obs::Metrics::enabled()) {
-      // How full the int8 [B, L] blocks run (cap kMaxPredictBatch = 64) —
+      // How full the int8 lane batches run (cap kPredictLanes) —
       // quantized serving throughput depends on this occupancy.
       static obs::Histogram* const occupancy = obs::Metrics::GetHistogram(
           "quantized_predict.bucket_occupancy", {1, 2, 4, 8, 16, 32, 64});
-      occupancy->Observe(static_cast<double>(batch));
+      occupancy->Observe(static_cast<double>(end - start));
     }
-    tokens.clear();
-    for (int m : bucket.members) {
-      tokens.insert(tokens.end(), xs[m]->tokens.begin(), xs[m]->tokens.end());
-    }
-    embeddings_->Lookup(tokens, &packed);
-    conv_.ForwardPacked(packed, batch, t, &conv_out, util::Act::kRelu);
-    if (gru_ != nullptr) {
-      gru_->ForwardPacked(conv_out, batch, t, &hidden);
-    } else {
-      lstm_->ForwardPacked(conv_out, batch, t, &hidden);
-    }
-    fc_.ForwardRows(hidden, &logits);
-    nn::SoftmaxRows(logits, &probs);
-    for (int b = 0; b < batch; ++b) {
-      util::Matrix m(t, k_cls);
-      std::copy(probs.Row(b * t), probs.Row(b * t) + static_cast<size_t>(t) * k_cls,
-                m.Row(0));
-      (*out)[bucket.members[b]] = std::move(m);
+    chunk.clear();
+    for (int j = start; j < end; ++j) chunk.push_back(xs[order[j]]);
+    lanes.Assign(chunk, {});
+    Forward(&lanes, false);
+    for (int j = start; j < end; ++j) {
+      util::Matrix m(lanes.lengths[j - start], k_cls);
+      CopyRows(lanes.probs, lanes.offsets[j - start], &m);
+      (*out)[order[j]] = std::move(m);
     }
   }
 }
@@ -118,48 +209,110 @@ void NerTagger::SetQuantizedPredict(bool on) {
 
 const util::Matrix& NerTagger::ForwardTrain(const data::Instance& x,
                                             util::Rng* rng) {
-  embeddings_->Lookup(x.tokens, &cache_.embedded);
-  conv_.Forward(cache_.embedded, &cache_.conv_relu, util::Act::kRelu);
-  cache_.conv_dropped = cache_.conv_relu;
-  nn::DropoutForward(config_.dropout, rng, &cache_.conv_dropped,
-                     &cache_.dropout_mask);
-  RecurrentForward(cache_.conv_dropped, &cache_.gru, &cache_.lstm,
-                   &cache_.hidden);
-  util::Matrix logits;
-  fc_.ForwardRows(cache_.hidden, &logits);
-  nn::SoftmaxRows(logits, &cache_.probs);
-  return cache_.probs;
-}
-
-void NerTagger::BackwardFromLogits(const util::Matrix& grad_logits) {
-  util::Matrix grad_hidden, grad_conv;
-  fc_.BackwardRows(cache_.hidden, grad_logits, &grad_hidden);
-  if (gru_ != nullptr) {
-    gru_->Backward(cache_.conv_dropped, cache_.gru, grad_hidden, &grad_conv);
-  } else {
-    lstm_->Backward(cache_.conv_dropped, cache_.lstm, grad_hidden,
-                    &grad_conv);
-  }
-  nn::DropoutBackward(config_.dropout, cache_.dropout_mask, &grad_conv);
-  nn::ReluBackward(cache_.conv_relu, &grad_conv);
-  conv_.Backward(cache_.embedded, grad_conv, nullptr);
+  nn::DropoutMask(config_.dropout, rng,
+                  x.tokens.size() * static_cast<size_t>(config_.conv_features),
+                  &single_mask_);
+  single_.Assign({&x}, {&single_mask_});
+  Forward(&single_, true);
+  return single_.probs;
 }
 
 double NerTagger::BackwardSoftTarget(const util::Matrix& q, float w) {
-  LNCL_DCHECK(q.rows() == cache_.probs.rows() &&
-              q.cols() == cache_.probs.cols());
-  LNCL_AUDIT_SIMPLEX(q);
-  util::Matrix grad_logits;
-  nn::SoftmaxCrossEntropyGradRows(q, cache_.probs, w, &grad_logits);
-  BackwardFromLogits(grad_logits);
-  return w * nn::CrossEntropyRows(q, cache_.probs);
+  const double loss = SoftTargetHead(q, single_.probs, w, &single_.grad_logits);
+  Backward(&single_);
+  AccumulateConvGrads(single_, 0);
+  AccumulateSequenceGrads(single_, 0);
+  return loss;
 }
 
 void NerTagger::BackwardProbGrad(const util::Matrix& grad_probs, float w) {
-  LNCL_DCHECK(grad_probs.rows() == cache_.probs.rows());
-  util::Matrix grad_logits;
-  nn::SoftmaxJacobianVecProductRows(cache_.probs, grad_probs, w, &grad_logits);
-  BackwardFromLogits(grad_logits);
+  LNCL_DCHECK(grad_probs.rows() == single_.probs.rows());
+  nn::SoftmaxJacobianVecProductRows(single_.probs, grad_probs, w,
+                                    &single_.grad_logits);
+  Backward(&single_);
+  AccumulateConvGrads(single_, 0);
+  AccumulateSequenceGrads(single_, 0);
+}
+
+void NerTagger::TrainBatch(const std::vector<const data::Instance*>& xs,
+                           const TrainHead& head, util::Rng* rng,
+                           util::Parallelizer* exec,
+                           std::vector<double>* losses) {
+  const int n = static_cast<int>(xs.size());
+  losses->assign(n, 0.0);
+  if (n == 0) return;
+  util::Parallelizer serial;
+  if (exec == nullptr) exec = &serial;
+
+  // (1) Dropout masks, in minibatch order.
+  masks_.resize(n);
+  for (int b = 0; b < n; ++b) {
+    nn::DropoutMask(
+        config_.dropout, rng,
+        xs[b]->tokens.size() * static_cast<size_t>(config_.conv_features),
+        &masks_[b]);
+  }
+
+  // Lane groups: contiguous runs of the length-sorted lanes, one per thread.
+  const std::vector<int> order = LaneOrder(xs);
+  const int groups = std::min(exec->num_threads(), n);
+  groups_.resize(groups);
+  std::vector<std::pair<int, int>> lane_of(n);  // position -> (group, lane)
+  for (int g = 0; g < groups; ++g) {
+    const auto [lo, hi] = util::Parallelizer::SlotRange(n, g, groups);
+    Lanes& lanes = groups_[g];
+    std::vector<const data::Instance*> lane_xs;
+    std::vector<const std::vector<uint8_t>*> lane_masks;
+    for (int j = lo; j < hi; ++j) {
+      lane_xs.push_back(xs[order[j]]);
+      lane_masks.push_back(&masks_[order[j]]);
+      lane_of[order[j]] = {g, j - lo};
+    }
+    lanes.Assign(std::move(lane_xs), std::move(lane_masks));
+    lanes.grad_logits.ResizeNoZero(lanes.offsets.back(), config_.num_classes);
+  }
+
+  // (2) Forward.
+  exec->RunSlots(groups, [this](int g) { Forward(&groups_[g], true); });
+
+  // (3) The head, in minibatch order, then the row-wise backward.
+  for (int b = 0; b < n; ++b) {
+    (*losses)[b] = Head(&groups_[lane_of[b].first], lane_of[b].second, b, head);
+  }
+  exec->RunSlots(groups, [this](int g) { Backward(&groups_[g]); });
+
+  // (4) The parameter gradients, each summed in minibatch order.
+  exec->RunSlots(2, [&](int task) {
+    for (int b = 0; b < n; ++b) {
+      const Lanes& lanes = groups_[lane_of[b].first];
+      if (task == 0) {
+        AccumulateConvGrads(lanes, lane_of[b].second);
+      } else {
+        AccumulateSequenceGrads(lanes, lane_of[b].second);
+      }
+    }
+  });
+}
+
+double NerTagger::Head(Lanes* lanes, int lane, int b,
+                       const TrainHead& head) const {
+  thread_local util::Matrix probs, grad_probs, grad_logits;
+  const int row = lanes->offsets[lane];
+  probs.ResizeNoZero(lanes->lengths[lane], config_.num_classes);
+  CopyRows(lanes->probs, row, &probs);
+  double loss = 0.0;
+  if (head.prob_grad) {
+    grad_probs.Resize(probs.rows(), probs.cols());
+    head.prob_grad(b, probs, &grad_probs);
+    nn::SoftmaxJacobianVecProductRows(probs, grad_probs, head.weight(b),
+                                      &grad_logits);
+  } else {
+    loss = SoftTargetHead(*head.targets[b], probs, head.weight(b),
+                          &grad_logits);
+  }
+  std::copy(grad_logits.data(), grad_logits.data() + grad_logits.size(),
+            lanes->grad_logits.Row(row));
+  return loss;
 }
 
 std::vector<nn::Parameter*> NerTagger::Params() {

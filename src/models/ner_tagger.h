@@ -28,6 +28,14 @@ struct NerTaggerConfig {
   int num_classes = 9;
 };
 
+// Every entry point — Predict, PredictBatch, ForwardTrain + Backward*, and
+// TrainBatch — runs the same lane code: a packed variable-length batch
+// ("lanes": instances sorted by non-increasing length, rows stored instance
+// by instance), one embedding gather, one conv GEMM per instance, one
+// recurrent GEMM per step over the lanes still running (a prefix of the
+// sort), and one fc GEMM over all rows. Per-instance results never depend
+// on the batch they ran in (tests/batch_predict_test.cc,
+// tests/models_test.cc).
 class NerTagger : public Model {
  public:
   NerTagger(const NerTaggerConfig& config, data::EmbeddingPtr embeddings,
@@ -39,16 +47,25 @@ class NerTagger : public Model {
   }
 
   util::Matrix Predict(const data::Instance& x) const override;
-  // Length-bucketed batched prediction: packed embedding gather, one conv
-  // GEMM per bucket, time-major batched recurrence, and one fc GEMM over all
-  // token rows. Bit-identical to looping Predict
-  // (tests/batch_predict_test.cc).
+  // Sorts xs by length and runs them in chunks of lanes.
   void PredictBatch(const std::vector<const data::Instance*>& xs,
                     std::vector<util::Matrix>* out) const override;
   const util::Matrix& ForwardTrain(const data::Instance& x,
                                    util::Rng* rng) override;
   double BackwardSoftTarget(const util::Matrix& q, float w) override;
   void BackwardProbGrad(const util::Matrix& grad_probs, float w) override;
+  // One packed minibatch in four phases: (1) the dropout masks, drawn
+  // serially in minibatch order — the stream ForwardTrain draws; (2) the
+  // forward, over `exec->num_threads()` contiguous lane groups in parallel;
+  // (3) the head, serially in minibatch order, then the row-wise backward
+  // per lane group in parallel; (4) the parameter gradients — the conv layer
+  // and the recurrent + fc layers as two parallel tasks, each adding its
+  // per-instance gradients in minibatch order. Byte-equal to the
+  // per-instance loop at every thread count.
+  void TrainBatch(const std::vector<const data::Instance*>& xs,
+                  const TrainHead& head, util::Rng* rng,
+                  util::Parallelizer* exec,
+                  std::vector<double>* losses) override;
   std::vector<nn::Parameter*> Params() override;
   // Int8 serving: convolution + per-token classifier head. The recurrent
   // cell stays fp32 — quantization error would compound through the
@@ -59,12 +76,51 @@ class NerTagger : public Model {
                               data::EmbeddingPtr embeddings);
 
  private:
-  // Recurrent forward over `input`, into hidden (and the training caches).
-  void RecurrentForward(const util::Matrix& input, nn::Gru::Cache* gru_cache,
-                        nn::Lstm::Cache* lstm_cache,
-                        util::Matrix* hidden) const;
+  // One packed batch of lanes and every buffer a pass over it needs.
+  struct Lanes {
+    // Lane b is instance *xs[b]; lanes sorted by non-increasing length.
+    std::vector<const data::Instance*> xs;
+    std::vector<const std::vector<uint8_t>*> masks;  // training only
+    std::vector<int> lengths;
+    std::vector<int> offsets;  // first row of each lane, then the row count
+    util::Matrix embedded;     // rows x D
+    util::Matrix conv_relu;    // rows x F (post-ReLU, pre-dropout)
+    util::Matrix conv_dropped; // rows x F (training recurrent input)
+    nn::Gru::Cache gru;        // training caches (hidden states in .h)
+    nn::Lstm::Cache lstm;
+    util::Matrix hidden;       // rows x H (inference)
+    util::Matrix logits;       // rows x K
+    util::Matrix probs;        // rows x K
+    util::Matrix grad_logits;  // rows x K, written by the head
+    util::Matrix grad_hidden;  // rows x H
+    util::Matrix grad_conv;    // rows x F
+    nn::Gru::Grads gru_grads;
+    nn::Lstm::Grads lstm_grads;
 
-  void BackwardFromLogits(const util::Matrix& grad_logits);
+    void Assign(std::vector<const data::Instance*> lane_xs,
+                std::vector<const std::vector<uint8_t>*> lane_masks);
+  };
+
+  // Evaluation-mode forward of xs in length-sorted chunks of lanes.
+  void PredictLanes(const std::vector<const data::Instance*>& xs,
+                    std::vector<util::Matrix>* out) const;
+  // embed -> conv -> (dropout) -> recurrent -> fc -> softmax over all lanes;
+  // `train` applies the lanes' dropout masks and keeps the caches.
+  void Forward(Lanes* lanes, bool train) const;
+  // Runs `head` on lane `lane` (minibatch position b) of a training Forward:
+  // writes the lane's rows of lanes->grad_logits and returns its soft-target
+  // loss (0 under the prob-grad head).
+  double Head(Lanes* lanes, int lane, int b, const TrainHead& head) const;
+  // Row-wise backward of a training Forward from lanes->grad_logits down to
+  // the conv output gradient. Touches no parameter.
+  void Backward(Lanes* lanes) const;
+  // Parameter gradients of one lane after Backward: the conv layer, and
+  // the recurrent + fc layers.
+  void AccumulateConvGrads(const Lanes& lanes, int lane);
+  void AccumulateSequenceGrads(const Lanes& lanes, int lane);
+  const util::Matrix& TrainHidden(const Lanes& lanes) const {
+    return gru_ != nullptr ? lanes.gru.h : lanes.lstm.h;
+  }
 
   NerTaggerConfig config_;
   data::EmbeddingPtr embeddings_;
@@ -74,18 +130,12 @@ class NerTagger : public Model {
   nn::Linear fc_;
   bool quantized_predict_ = false;  // mirrors the layers' int8 toggle
 
-  struct Cache {
-    util::Matrix embedded;     // T x D
-    util::Matrix conv_relu;    // T x F (post-ReLU, pre-dropout)
-    util::Matrix conv_dropped; // T x F (recurrent-layer input)
-    std::vector<uint8_t> dropout_mask;
-    nn::Gru::Cache gru;
-    nn::Lstm::Cache lstm;
-    util::Matrix hidden;       // T x H
-    util::Matrix probs;        // T x K
-  };
-  Cache cache_;
+  // ForwardTrain / Backward* state: a batch of one lane.
+  Lanes single_;
+  std::vector<uint8_t> single_mask_;
+  // TrainBatch state: lane groups and the masks in minibatch order.
+  std::vector<Lanes> groups_;
+  std::vector<std::vector<uint8_t>> masks_;
 };
 
 }  // namespace lncl::models
-

@@ -12,8 +12,8 @@ namespace lncl::nn {
 // Under the build's -ffp-contract=off each lane of a vectorized loop runs
 // the same sequence of correctly rounded IEEE operations as the scalar
 // code, so a value computed in a vector body, in a scalar tail, or one at a
-// time is bit-identical — what keeps Gru/Lstm::ForwardPacked byte-equal to
-// the per-instance Forward, whatever the batch size or hidden width.
+// time is bit-identical — what keeps a lane of a Gru/Lstm batch byte-equal
+// to that lane run alone, whatever the batch size or hidden width.
 //
 // Accuracy against a double-precision reference (tests/nn_test.cc): Tanh
 // within 4e-7 absolute, Sigmoid within 2e-7 absolute. Both saturate exactly

@@ -170,19 +170,16 @@ void Conv1d::QuantizedBoundaryRow(const float* x_base, int t, int o,
   }
 }
 
-void Conv1d::ForwardPacked(const util::Matrix& x_packed, int batch, int t,
+void Conv1d::ForwardPacked(const util::Matrix& x_packed,
+                           const std::vector<int>& lengths,
                            util::Matrix* y_packed, util::Act act) const {
-  LNCL_DCHECK(x_packed.rows() == batch * t);
-  LNCL_DCHECK(t == 0 || x_packed.cols() == in_dim_);
-  const int out_rows = OutRows(t);
   const int f = filters();
   const int k_dim = window_ * in_dim_;
-  y_packed->ResizeNoZero(batch * out_rows, f);
+  int out_total = 0;
+  for (int t : lengths) out_total += OutRows(t);
+  y_packed->ResizeNoZero(out_total, f);
   const float* bias = b_.value.Row(0);
-
-  const int interior = t - window_ + 1;
   const int ib = padding_ == Padding::kSame ? (window_ - 1) / 2 : 0;
-  const int ie = ib + std::max(0, interior);
 
   // One interior GEMM per instance, written straight into its y_packed
   // block — the exact n/k/lda/kernel of Forward's interior GEMM, so each
@@ -197,26 +194,23 @@ void Conv1d::ForwardPacked(const util::Matrix& x_packed, int batch, int t,
   } else {
     wt = util::gemm::PackedOpB(w_.value, util::Trans::kYes, &ldw);
   }
-  if (interior > 0) {
-    for (int b = 0; b < batch; ++b) {
-      const float* xb =
-          x_packed.data() + static_cast<size_t>(b) * t * in_dim_;
-      float* yb = y_packed->Row(b * out_rows + ib);
+  const float* x_base = x_packed.data();
+  float* y_base = y_packed->data();
+  for (int t : lengths) {
+    const int out_rows = OutRows(t);
+    const int interior = t - window_ + 1;
+    const int ie = ib + std::max(0, interior);
+    if (interior > 0) {
+      float* yb = y_base + static_cast<size_t>(ib) * f;
       if (quantized_) {
-        util::gemm::GemmInt8(interior, f, k_dim, xb, in_dim_, qw_.q.data(),
-                             qw_.scale.data(), yb, f, bias, act);
+        util::gemm::GemmInt8(interior, f, k_dim, x_base, in_dim_,
+                             qw_.q.data(), qw_.scale.data(), yb, f, bias, act);
       } else {
-        util::gemm::GemmEx(interior, f, k_dim, 1.0f, xb, in_dim_,
+        util::gemm::GemmEx(interior, f, k_dim, 1.0f, x_base, in_dim_,
                            util::Trans::kNo, wt, ldw, util::Trans::kNo, 0.0f,
                            yb, f, bias, act);
       }
     }
-  }
-
-  for (int b = 0; b < batch; ++b) {
-    const float* x_base =
-        x_packed.data() + static_cast<size_t>(b) * t * in_dim_;
-    float* y_base = y_packed->Row(b * out_rows);
     for (int o = 0; o < out_rows; ++o) {
       if (o >= ib && o < ie) continue;
       float* yr = y_base + static_cast<size_t>(o) * f;
@@ -228,23 +222,22 @@ void Conv1d::ForwardPacked(const util::Matrix& x_packed, int batch, int t,
         ApplyBiasAct(bias, act, f, yr);
       }
     }
+    x_base += static_cast<size_t>(t) * in_dim_;
+    y_base += static_cast<size_t>(out_rows) * f;
   }
+  LNCL_DCHECK(x_base == x_packed.data() + x_packed.size());
 }
 
-void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
-                      util::Matrix* grad_x) {
-  const int t = x.rows();
-  const int out_rows = grad_y.rows();
+bool Conv1d::AccumulateGrads(const float* x, int t, const float* grad_y) {
+  const int out_rows = OutRows(t);
   const int f = filters();
   const int k_dim = window_ * in_dim_;
-  LNCL_DCHECK(out_rows == OutRows(t));
-  LNCL_DCHECK(grad_y.cols() == f);
 
   // db += column sums of grad_y; count nonzeros on the same pass.
   float* gbias = b_.grad.Row(0);
   int nnz = 0;
   for (int o = 0; o < out_rows; ++o) {
-    const float* gout = grad_y.Row(o);
+    const float* gout = grad_y + static_cast<size_t>(o) * f;
     for (int k = 0; k < f; ++k) {
       gbias[k] += gout[k];
       nnz += gout[k] != 0.0f;
@@ -259,23 +252,74 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
   // sparse: at most one nonzero per filter column, further thinned by
   // dropout. Below ~1/8 density the axpy formulation beats the dense GEMMs;
   // the path choice depends only on the data, never on the thread count.
-  const bool sparse = static_cast<size_t>(nnz) * 8 < grad_y.size();
+  const bool sparse =
+      static_cast<size_t>(nnz) * 8 < static_cast<size_t>(out_rows) * f;
   if (sparse) {
-    if (grad_x != nullptr) grad_x->Resize(t, in_dim_);
+    for (int o = 0; o < out_rows; ++o) {
+      const float* gout = grad_y + static_cast<size_t>(o) * f;
+      const int start = WindowStart(o);
+      const int lo = std::max(0, start);
+      const int hi = std::min(t, start + window_);
+      const int off = (lo - start) * in_dim_;
+      const int len = (hi - lo) * in_dim_;  // rows lo..hi-1 are contiguous
+      const float* xr = x + static_cast<size_t>(lo) * in_dim_;
+      for (int fi = 0; fi < f; ++fi) {
+        const float g = gout[fi];
+        if (g == 0.0f) continue;
+        float* gw = w_.grad.Row(fi) + off;
+        for (int k = 0; k < len; ++k) gw[k] += g * xr[k];
+      }
+    }
+    return true;
+  }
+
+  // Dense path. dW += grad_y^T * windows(x): interior rows through the
+  // strided GEMM, boundary rows as clipped rank-1 updates.
+  if (interior > 0) {
+    util::GemmRaw(f, k_dim, interior, 1.0f, grad_y + static_cast<size_t>(ib) * f,
+                  f, util::Trans::kYes, x, in_dim_, util::Trans::kNo, 1.0f,
+                  w_.grad.data(), k_dim);
+  }
+  for (int o = 0; o < out_rows; ++o) {
+    if (o >= ib && o < ie) continue;
+    const float* gout = grad_y + static_cast<size_t>(o) * f;
+    const int start = WindowStart(o);
+    const int lo = std::max(0, start);
+    const int hi = std::min(t, start + window_);
+    const int off = (lo - start) * in_dim_;
+    const int len = (hi - lo) * in_dim_;
+    const float* xr = x + static_cast<size_t>(lo) * in_dim_;
+    for (int fi = 0; fi < f; ++fi) {
+      const float g = gout[fi];
+      float* gw = w_.grad.Row(fi) + off;
+      for (int k = 0; k < len; ++k) gw[k] += g * xr[k];
+    }
+  }
+  return false;
+}
+
+void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
+                      util::Matrix* grad_x) {
+  const int t = x.rows();
+  const int out_rows = grad_y.rows();
+  const int f = filters();
+  LNCL_DCHECK(out_rows == OutRows(t));
+  LNCL_DCHECK(grad_y.cols() == f);
+  const bool sparse = AccumulateGrads(x.data(), t, grad_y.data());
+  if (grad_x == nullptr) return;
+
+  grad_x->Resize(t, in_dim_);
+  if (sparse) {
     for (int o = 0; o < out_rows; ++o) {
       const float* gout = grad_y.Row(o);
       const int start = WindowStart(o);
       const int lo = std::max(0, start);
       const int hi = std::min(t, start + window_);
       const int off = (lo - start) * in_dim_;
-      const int len = (hi - lo) * in_dim_;  // rows lo..hi-1 are contiguous
-      const float* xr = x.Row(lo);
+      const int len = (hi - lo) * in_dim_;
       for (int fi = 0; fi < f; ++fi) {
         const float g = gout[fi];
         if (g == 0.0f) continue;
-        float* gw = w_.grad.Row(fi) + off;
-        for (int k = 0; k < len; ++k) gw[k] += g * xr[k];
-        if (grad_x == nullptr) continue;
         const float* wr = w_.value.Row(fi) + off;
         float* gx = grad_x->Row(lo);
         for (int k = 0; k < len; ++k) gx[k] += g * wr[k];
@@ -283,35 +327,10 @@ void Conv1d::Backward(const util::Matrix& x, const util::Matrix& grad_y,
     }
     return;
   }
-
-  // Dense path. dW += grad_y^T * windows(x): interior rows through the
-  // strided GEMM, boundary rows as clipped rank-1 updates.
-  if (interior > 0) {
-    util::GemmRaw(f, k_dim, interior, 1.0f, grad_y.Row(ib), f,
-                  util::Trans::kYes, x.data(), in_dim_, util::Trans::kNo, 1.0f,
-                  w_.grad.data(), k_dim);
-  }
-  for (int o = 0; o < out_rows; ++o) {
-    if (o >= ib && o < ie) continue;
-    const float* gout = grad_y.Row(o);
-    const int start = WindowStart(o);
-    const int lo = std::max(0, start);
-    const int hi = std::min(t, start + window_);
-    const int off = (lo - start) * in_dim_;
-    const int len = (hi - lo) * in_dim_;
-    const float* xr = x.Row(lo);
-    for (int fi = 0; fi < f; ++fi) {
-      const float g = gout[fi];
-      float* gw = w_.grad.Row(fi) + off;
-      for (int k = 0; k < len; ++k) gw[k] += g * xr[k];
-    }
-  }
-  if (grad_x == nullptr) return;
   // dWindows = grad_y * W, then scatter-add each (clipped) flattened window
   // back onto the contiguous input rows it covers (row2im).
   util::Gemm(1.0f, grad_y, util::Trans::kNo, w_.value, util::Trans::kNo, 0.0f,
              &tls_grad_patches);
-  grad_x->Resize(t, in_dim_);
   for (int o = 0; o < out_rows; ++o) {
     const int start = WindowStart(o);
     const int lo = std::max(0, start);

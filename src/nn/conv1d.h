@@ -46,21 +46,34 @@ class Conv1d {
   void Forward(const util::Matrix& x, util::Matrix* y,
                util::Act act = util::Act::kNone) const;
 
-  // Batched forward over `batch` equal-length sequences packed row-major into
-  // x_packed ((batch * t) x in_dim; instance b occupies rows [b*t, (b+1)*t)).
-  // y_packed gets the same instance-major layout, (batch * OutRows(t)) x
-  // filters. Each instance's block is byte-for-byte what Forward produces on
-  // its slice: all interior windows go through a GEMM of the exact same
-  // shape (n, k, lda) as Forward's, and boundary rows reuse Forward's scalar
-  // clipped-window path.
+  // Batched forward over a variable-length batch packed row-major into
+  // x_packed: instance b occupies `lengths[b]` consecutive rows, instances
+  // one after another (nn/lanes.h). y_packed gets the same instance-major
+  // layout, OutRows(lengths[b]) rows per instance. Each instance's block is
+  // byte-for-byte what Forward produces on its slice: its interior windows
+  // go through a GEMM of the exact same shape (n, k, lda) as Forward's, and
+  // boundary rows reuse Forward's scalar clipped-window path.
+  void ForwardPacked(const util::Matrix& x_packed,
+                     const std::vector<int>& lengths, util::Matrix* y_packed,
+                     util::Act act = util::Act::kNone) const;
+
+  // `batch` equal-length instances of `t` rows each.
   void ForwardPacked(const util::Matrix& x_packed, int batch, int t,
                      util::Matrix* y_packed,
-                     util::Act act = util::Act::kNone) const;
+                     util::Act act = util::Act::kNone) const {
+    ForwardPacked(x_packed, std::vector<int>(batch, t), y_packed, act);
+  }
 
   // Accumulates parameter grads; writes dL/dx (same shape as x) when grad_x
   // is non-null.
   void Backward(const util::Matrix& x, const util::Matrix& grad_y,
                 util::Matrix* grad_x);
+
+  // The parameter half of Backward for one instance given as raw rows: x is
+  // t x in_dim, grad_y is OutRows(t) x filters. Returns whether grad_y was
+  // sparse enough for the axpy formulation (Backward's grad_x follows the
+  // same choice).
+  bool AccumulateGrads(const float* x, int t, const float* grad_y);
 
   std::vector<Parameter*> Params() { return {&w_, &b_}; }
 

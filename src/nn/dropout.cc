@@ -4,28 +4,34 @@
 
 namespace lncl::nn {
 
+void DropoutMask(double rate, util::Rng* rng, size_t n,
+                 std::vector<uint8_t>* mask) {
+  mask->assign(n, 1);
+  if (rate <= 0.0) return;
+  uint8_t* m = mask->data();
+  for (size_t i = 0; i < n; ++i) m[i] = !(rng->Uniform() < rate);
+}
+
+// Applies the drawn mask in a select loop the compiler vectorizes; the
+// outputs match a draw-and-branch loop.
+void DropoutApply(double rate, const uint8_t* mask, float* data, size_t n) {
+  if (rate <= 0.0) return;
+  const float scale = static_cast<float>(1.0 / (1.0 - rate));
+  for (size_t i = 0; i < n; ++i) data[i] = mask[i] ? data[i] * scale : 0.0f;
+}
+
 namespace {
 
 void ApplyForward(double rate, util::Rng* rng, float* data, size_t n,
                   std::vector<uint8_t>* mask) {
-  mask->assign(n, 1);
-  if (rate <= 0.0) return;
-  const float scale = static_cast<float>(1.0 / (1.0 - rate));
-  // Draw the whole mask first, then apply it in a select loop the compiler
-  // vectorizes; the draws and the outputs match a draw-and-branch loop.
-  uint8_t* m = mask->data();
-  for (size_t i = 0; i < n; ++i) m[i] = !(rng->Uniform() < rate);
-  for (size_t i = 0; i < n; ++i) data[i] = m[i] ? data[i] * scale : 0.0f;
+  DropoutMask(rate, rng, n, mask);
+  DropoutApply(rate, mask->data(), data, n);
 }
 
 void ApplyBackward(double rate, const std::vector<uint8_t>& mask, float* grad,
                    size_t n) {
   LNCL_DCHECK(mask.size() == n);
-  if (rate <= 0.0) return;
-  const float scale = static_cast<float>(1.0 / (1.0 - rate));
-  for (size_t i = 0; i < n; ++i) {
-    grad[i] = mask[i] ? grad[i] * scale : 0.0f;
-  }
+  DropoutApply(rate, mask.data(), grad, n);
 }
 
 }  // namespace

@@ -16,17 +16,30 @@ namespace lncl::nn {
 //   c_t = tanh   (Wc x_t + Uc (r_t . h_{t-1}) + bc)  (candidate)
 //   h_t = (1 - z_t) . h_{t-1} + z_t . c_t
 //
-// The initial hidden state is zero. Forward fills a Cache with the gate
-// activations that Backward (truncated-free BPTT over the full sequence)
-// consumes. One Gru instance can be reused across instances as long as each
-// Forward gets its own Cache.
+// The initial hidden state is zero. Forward and Backward run over a
+// variable-length batch: `lengths[b]` rows belong to lane b, the lanes sorted
+// by non-increasing length and their rows stored lane by lane. At step t the
+// lanes still running are then a prefix of the batch, so every recurrent
+// product is one [n_t, H] GEMM. The kernels compute each output row
+// independently of the row count (util/gemm_kernel.h), so a lane's results
+// are byte-for-byte those of a batch holding that lane alone — the B = 1
+// overloads below are exactly that batch.
 class Gru {
  public:
+  // Gate activations of a training forward, rows aligned with x.
   struct Cache {
-    util::Matrix h;  // T x H hidden states
-    util::Matrix z;  // T x H update gates
-    util::Matrix r;  // T x H reset gates
-    util::Matrix c;  // T x H candidates
+    util::Matrix h;  // hidden states
+    util::Matrix z;  // update gates
+    util::Matrix r;  // reset gates
+    util::Matrix c;  // candidates
+  };
+
+  // What Backward leaves for AccumulateGrads, rows aligned with x: the gate
+  // pre-activation gradients and the recurrent GEMM operands.
+  struct Grads {
+    util::Matrix dz, dr, dc;
+    util::Matrix h_prev;  // h_{t-1} (zeros at a lane's first step)
+    util::Matrix rh;      // r_t . h_{t-1}
   };
 
   Gru(const std::string& name, int in_dim, int hidden_dim, util::Rng* rng);
@@ -34,21 +47,31 @@ class Gru {
   Gru(const Gru&) = delete;
   Gru& operator=(const Gru&) = delete;
 
-  // x: T x in_dim. h_out: T x hidden_dim (same data as cache->h).
-  void Forward(const util::Matrix& x, Cache* cache, util::Matrix* h_out) const;
+  // x: rows x in_dim in the batch layout above. h_out gets the hidden states
+  // in the same layout. `cache` is optional (null for inference); when set,
+  // the states live in cache->h and h_out may point at it to skip the copy.
+  // Scratch is per-thread, so concurrent calls on one layer are safe.
+  void Forward(const util::Matrix& x, const std::vector<int>& lengths,
+               Cache* cache, util::Matrix* h_out) const;
 
-  // Batched inference over `batch` equal-length sequences packed row-major
-  // into x_packed ((batch * t) x in_dim, instance-major); h_packed gets the
-  // hidden states in the same layout. Bit-identical per instance to Forward:
-  // the input-side projections are the same per-row GEMMs over more rows, and
-  // each step's recurrent MatVec becomes one [batch, H] x Uᵀ GEMM whose
-  // per-row reduction order equals MatVec's. No cache is produced (inference
-  // only). Scratch lives in the per-thread util::Workspace arena.
-  void ForwardPacked(const util::Matrix& x_packed, int batch, int t,
-                     util::Matrix* h_packed) const;
+  // BPTT over a forward's batch: grad_h = dL/dh for every row. Fills *grads
+  // and writes dL/dx when grad_x is non-null; touches no parameter, so lane
+  // groups may run concurrently.
+  void Backward(const util::Matrix& x, const std::vector<int>& lengths,
+                const Cache& cache, const util::Matrix& grad_h, Grads* grads,
+                util::Matrix* grad_x) const;
 
-  // grad_h: T x hidden_dim = dL/dh_t for every step. Accumulates parameter
-  // grads; writes dL/dx when grad_x is non-null.
+  // Adds the parameter gradients of rows [row, row + rows) — one lane of a
+  // Backward — to the parameters. Callers add lanes in the order their
+  // gradients must sum in.
+  void AccumulateGrads(const util::Matrix& x, const Grads& grads, int row,
+                       int rows);
+
+  // One sequence (x: T x in_dim), as a batch of one lane.
+  void Forward(const util::Matrix& x, Cache* cache, util::Matrix* h_out) const {
+    Forward(x, {x.rows()}, cache, h_out);
+  }
+  // Backward of that one-lane batch plus its parameter gradients.
   void Backward(const util::Matrix& x, const Cache& cache,
                 const util::Matrix& grad_h, util::Matrix* grad_x);
 
@@ -66,4 +89,3 @@ class Gru {
 };
 
 }  // namespace lncl::nn
-

@@ -77,16 +77,21 @@ void Linear::Backward(const util::Vector& x, const util::Vector& grad_y,
 void Linear::BackwardRows(const util::Matrix& x, const util::Matrix& grad_y,
                           util::Matrix* grad_x) {
   LNCL_DCHECK(x.rows() == grad_y.rows());
-  // dW += grad_y^T * x, accumulated in place by the beta=1 GEMM (no temp).
-  util::Gemm(1.0f, grad_y, util::Trans::kYes, x, util::Trans::kNo, 1.0f,
-             &w_.grad);
-  float* gb = b_.grad.Row(0);
-  for (int r = 0; r < grad_y.rows(); ++r) {
-    const float* row = grad_y.Row(r);
-    for (int c = 0; c < grad_y.cols(); ++c) gb[c] += row[c];
-  }
+  AccumulateGrads(x.data(), grad_y.data(), grad_y.rows());
   if (grad_x != nullptr) {
     util::MatMul(grad_y, w_.value, grad_x);
+  }
+}
+
+void Linear::AccumulateGrads(const float* x, const float* grad_y, int rows) {
+  // dW += grad_y^T * x, accumulated in place by the beta=1 GEMM (no temp).
+  util::GemmRaw(out_dim(), in_dim(), rows, 1.0f, grad_y, out_dim(),
+                util::Trans::kYes, x, in_dim(), util::Trans::kNo, 1.0f,
+                w_.grad.data(), in_dim());
+  float* gb = b_.grad.Row(0);
+  for (int r = 0; r < rows; ++r) {
+    const float* row = grad_y + static_cast<size_t>(r) * out_dim();
+    for (int c = 0; c < out_dim(); ++c) gb[c] += row[c];
   }
 }
 

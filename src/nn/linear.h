@@ -43,6 +43,9 @@ class Linear {
                 util::Vector* grad_x);
   void BackwardRows(const util::Matrix& x, const util::Matrix& grad_y,
                     util::Matrix* grad_x);
+  // The parameter half of BackwardRows over `rows` raw rows of x (in_dim
+  // wide) and grad_y (out_dim wide).
+  void AccumulateGrads(const float* x, const float* grad_y, int rows);
 
   std::vector<Parameter*> Params() { return {&w_, &b_}; }
 

@@ -18,19 +18,27 @@ namespace lncl::nn {
 //   c_t = f_t . c_{t-1} + i_t . g_t
 //   h_t = o_t . tanh(c_t)
 //
-// The drop-in alternative to nn::Gru (same Forward/Backward surface with its
-// own Cache), used by models::LstmTagger for the recurrent-cell ablation.
-// Initial hidden and cell states are zero; the forget-gate bias is
-// initialized to +1, the standard trick for healthy gradient flow.
+// The drop-in alternative to nn::Gru (same variable-length batch layout and
+// Forward/Backward/AccumulateGrads surface, with its own Cache), used by
+// models::NerTagger for the recurrent-cell ablation. Initial hidden and cell
+// states are zero; the forget-gate bias is initialized to +1, the standard
+// trick for healthy gradient flow.
 class Lstm {
  public:
+  // Gate activations of a training forward, rows aligned with x.
   struct Cache {
-    util::Matrix h;   // T x H hidden states
-    util::Matrix c;   // T x H cell states
+    util::Matrix h;   // hidden states
+    util::Matrix c;   // cell states
     util::Matrix i;   // gates / candidate
     util::Matrix f;
     util::Matrix o;
     util::Matrix g;
+  };
+
+  // What Backward leaves for AccumulateGrads, rows aligned with x.
+  struct Grads {
+    util::Matrix di, df, d_o, dg;  // gate pre-activation gradients
+    util::Matrix h_prev;           // h_{t-1} (zeros at a lane's first step)
   };
 
   Lstm(const std::string& name, int in_dim, int hidden_dim, util::Rng* rng);
@@ -38,17 +46,24 @@ class Lstm {
   Lstm(const Lstm&) = delete;
   Lstm& operator=(const Lstm&) = delete;
 
-  void Forward(const util::Matrix& x, Cache* cache, util::Matrix* h_out) const;
+  // Batch layout, cache and thread-safety as nn::Gru::Forward.
+  void Forward(const util::Matrix& x, const std::vector<int>& lengths,
+               Cache* cache, util::Matrix* h_out) const;
 
-  // Batched inference over `batch` equal-length sequences packed row-major
-  // into x_packed ((batch * t) x in_dim, instance-major); h_packed gets the
-  // hidden states in the same layout, bit-identical per instance to Forward
-  // (see nn::Gru::ForwardPacked for the argument).
-  void ForwardPacked(const util::Matrix& x_packed, int batch, int t,
-                     util::Matrix* h_packed) const;
+  // As nn::Gru::Backward: fills *grads and dL/dx, touches no parameter.
+  void Backward(const util::Matrix& x, const std::vector<int>& lengths,
+                const Cache& cache, const util::Matrix& grad_h, Grads* grads,
+                util::Matrix* grad_x) const;
 
-  // grad_h: T x H = dL/dh_t for every step. Accumulates parameter grads;
-  // writes dL/dx when grad_x is non-null.
+  // Adds the parameter gradients of rows [row, row + rows) (one lane).
+  void AccumulateGrads(const util::Matrix& x, const Grads& grads, int row,
+                       int rows);
+
+  // One sequence (x: T x in_dim), as a batch of one lane.
+  void Forward(const util::Matrix& x, Cache* cache, util::Matrix* h_out) const {
+    Forward(x, {x.rows()}, cache, h_out);
+  }
+  // Backward of that one-lane batch plus its parameter gradients.
   void Backward(const util::Matrix& x, const Cache& cache,
                 const util::Matrix& grad_h, util::Matrix* grad_x);
 

@@ -4,7 +4,7 @@
 //
 // Spans are RAII scopes recorded into fixed-capacity per-thread buffers —
 // recording never takes a lock: one release store per event, no allocation
-// after a buffer's first event, so worker threads in the sharded
+// after a buffer's first event, so worker threads in the parallel
 // E-step/M-step never serialize on telemetry. Trace::Stop() merges every thread's buffer
 // into a `traceEvents` JSON array ("X" complete events, microsecond
 // timestamps relative to session start, one tid per recording thread) that

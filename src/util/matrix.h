@@ -28,8 +28,8 @@ uint64_t NextMatrixVersion();
 // AddScaled, ...) and is *copied* by copy/move, so equal versions imply
 // equal contents. The GEMM pack cache (util/gemm_kernel.h) keys transposed
 // weight panels on (data pointer, version): a weight matrix is repacked
-// once per optimizer step instead of once per layer call, and a replica
-// synced by plain assignment inherits the master's ticket. The bump is a
+// once per optimizer step instead of once per layer call, and a copy made
+// by plain assignment inherits the source's ticket. The bump is a
 // thread-local counter increment — cheap enough for per-row accessors.
 class Matrix {
  public:

@@ -15,8 +15,8 @@ namespace lncl::util {
 //  * by the benchmark harness to run independent (method, seed) experiments
 //    concurrently — each submitted job owns all of its state;
 //  * through ParallelRun / Parallelizer below for deterministic
-//    intra-model parallelism (parallel E-step sweeps, sharded minibatch
-//    gradient accumulation).
+//    intra-model parallelism (parallel E-step sweeps, the lane groups and
+//    parameter-gradient tasks of a packed minibatch).
 class ThreadPool {
  public:
   // Spawns `num_threads` workers (>=1; defaults to hardware concurrency).

@@ -186,6 +186,16 @@ TEST_F(BaselinesTest, CrowdLayerPretrainingRuns) {
   EXPECT_GT(result.best_dev_score, 0.6);
 }
 
+TEST_F(BaselinesTest, CrowdLayerRejectsNonPositiveBatchSize) {
+  CrowdLayerConfig config;
+  config.batch_size = 0;
+  config.epochs = 1;
+  CrowdLayer cl(config, factory_);
+  Rng rng(10);
+  EXPECT_DEATH(cl.Fit(corpus_.train, *annotations_, corpus_.dev, &rng),
+               "batch_size > 0");
+}
+
 // ------------------------------------------------------------------ DlDn --
 
 TEST_F(BaselinesTest, DlDnEnsembleWorks) {

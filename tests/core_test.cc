@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <sstream>
 
@@ -125,6 +126,66 @@ TEST(UpdateConfusionsTest, SoftCountsWeighted) {
   EXPECT_NEAR(confusions[0](1, 0), 1.0, 1e-5);
 }
 
+TEST(UpdateConfusionsTest, ByteEqualToTruthMajorScatter) {
+  // The label-major ConfusionCounts accumulation must reproduce, bit for
+  // bit, the historical scatter of every count into pi(m, y) of a
+  // truth-major matrix (kept here in compact form as the reference).
+  const int k = 9;
+  const int annotators = 7;
+  const int instances = 40;
+  Rng rng(303);
+  crowd::AnnotationSet ann(instances, annotators, k);
+  std::vector<Matrix> qf;
+  for (int i = 0; i < instances; ++i) {
+    const int len = 1 + rng.UniformInt(12);
+    Matrix q(len, k);
+    for (int t = 0; t < len; ++t) {
+      double sum = 0.0;
+      for (int m = 0; m < k; ++m) {
+        q(t, m) = static_cast<float>(rng.Uniform() * rng.Uniform());
+        sum += q(t, m);
+      }
+      for (int m = 0; m < k; ++m) {
+        q(t, m) = static_cast<float>(q(t, m) / sum);
+      }
+    }
+    qf.push_back(q);
+    for (int a = 0; a < annotators; ++a) {
+      if (rng.Uniform() < 0.4) continue;
+      std::vector<int> labels(len);
+      for (int& y : labels) y = rng.UniformInt(k);
+      ann.instance(i).entries.push_back({a, labels});
+    }
+  }
+  for (double smoothing : {0.0, 0.01}) {
+    crowd::ConfusionSet reference(annotators, crowd::ConfusionMatrix(k));
+    for (auto& pi : reference) pi.matrix().Zero();
+    for (int i = 0; i < instances; ++i) {
+      for (const crowd::AnnotatorLabels& e : ann.instance(i).entries) {
+        for (size_t t = 0; t < e.labels.size(); ++t) {
+          for (int m = 0; m < k; ++m) {
+            reference[e.annotator](m, e.labels[t]) +=
+                qf[i](static_cast<int>(t), m);
+          }
+        }
+      }
+    }
+    for (auto& pi : reference) pi.NormalizeRows(smoothing);
+
+    crowd::ConfusionSet confusions;
+    UpdateConfusions(qf, ann, smoothing, &confusions);
+    ASSERT_EQ(confusions.size(), reference.size());
+    for (int a = 0; a < annotators; ++a) {
+      const Matrix& got = confusions[a].matrix();
+      const Matrix& want = reference[a].matrix();
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+                0)
+          << "annotator " << a << ", smoothing " << smoothing;
+    }
+  }
+}
+
 // ------------------------------------------------------------ EarlyStopper --
 
 TEST(EarlyStopperTest, StopsAfterPatienceAndRestoresBest) {
@@ -222,6 +283,28 @@ TEST(RunMinibatchEpochTest, WeightsScaleTheLoss) {
   const double weighted =
       RunMinibatchEpoch(train, targets, {5.0f}, 1, &b, &opt_b, &rb);
   EXPECT_NEAR(weighted, 5.0 * plain, 1e-6);
+}
+
+TEST(RunMinibatchEpochDeathTest, RejectsNonPositiveBatchSize) {
+  // batch_size <= 0 once meant one optimizer step per epoch (serial path)
+  // or an endless loop (the former sharded path); now it fails loudly.
+  Rng rng(72);
+  auto emb = std::make_shared<data::EmbeddingTable>(10, 3);
+  data::Dataset train;
+  train.num_classes = 2;
+  data::Instance x;
+  x.tokens = {1, 2};
+  train.instances.push_back(x);
+  Matrix q(1, 2);
+  q(0, 0) = 1.0f;
+  const std::vector<Matrix> targets = {q};
+  models::LogisticRegression model(2, emb, &rng);
+  nn::Sgd opt(0.1);
+  for (int batch : {0, -3}) {
+    EXPECT_DEATH(
+        RunMinibatchEpoch(train, targets, {}, batch, &model, &opt, &rng),
+        "batch_size > 0");
+  }
 }
 
 TEST(UpdateConfusionsTest, SmoothingPullsTowardUniform) {

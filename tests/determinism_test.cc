@@ -1,10 +1,11 @@
-// Bit-identity regression tests for the deterministic sharded training path
-// (DESIGN.md §5). Training with config.threads = 1 and config.threads = 4
-// must produce byte-for-byte identical final parameters, loss curves, dev
-// curves, posteriors q_f, and confusion estimates: the sharded path always
-// partitions work over Parallelizer::kSlots fixed slots and reduces the
-// per-slot accumulators in slot order, so the thread count only changes who
-// executes a slot, never what is summed in which order.
+// Bit-identity regression tests for intra-model parallelism (DESIGN.md §5).
+// Training with any config.threads (0, 1, 4) must produce byte-for-byte
+// identical final parameters, loss curves, dev curves, posteriors q_f, and
+// confusion estimates: the E-step partitions work over Parallelizer::kSlots
+// fixed slots, and the M-step splits each minibatch's lanes across threads
+// while every gradient, loss and count still sums in minibatch / instance
+// order, so the thread count only changes who computes a row, never what is
+// summed in which order.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -136,8 +137,14 @@ TEST_F(SentimentDeterminismTest, OneVsFourThreadsBitIdentical) {
   ExpectBitIdentical(one, four);
 }
 
+TEST_F(SentimentDeterminismTest, ZeroVsFourThreadsBitIdentical) {
+  const FitSnapshot zero = Run(0);
+  const FitSnapshot four = Run(4);
+  ExpectBitIdentical(zero, four);
+}
+
 TEST_F(SentimentDeterminismTest, RepeatedRunsBitIdentical) {
-  // Same thread count twice: the sharded path must also be reproducible
+  // Same thread count twice: a parallel fit must also be reproducible
   // run-to-run (no address-dependent or scheduling-dependent state leaks).
   const FitSnapshot a = Run(4);
   const FitSnapshot b = Run(4);
@@ -212,6 +219,14 @@ TEST_F(NerDeterminismTest, OneVsFourThreadsBitIdentical) {
   const FitSnapshot one = Run(1);
   const FitSnapshot four = Run(4);
   ExpectBitIdentical(one, four);
+}
+
+TEST_F(NerDeterminismTest, ZeroVsFourThreadsBitIdentical) {
+  // threads = 0 is the serial trajectory; four threads split each
+  // minibatch's lanes into four groups and must not move a bit.
+  const FitSnapshot zero = Run(0);
+  const FitSnapshot four = Run(4);
+  ExpectBitIdentical(zero, four);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 
 #include "data/embedding.h"
@@ -13,6 +15,7 @@
 #include "nn/optimizer.h"
 #include "nn/softmax.h"
 #include "util/rng.h"
+#include "util/threadpool.h"
 
 namespace lncl::models {
 namespace {
@@ -326,6 +329,147 @@ TEST(NerTaggerTest, LstmVariantPredictShape) {
   EXPECT_EQ(p.rows(), 7);
   EXPECT_EQ(p.cols(), 9);
   ExpectRowStochastic(p);
+}
+
+// ------------------------------------------------- NerTagger::TrainBatch --
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// dCE(q, p)/dp = -q / p, floored like the crowd layer's clipped scores.
+void CrossEntropyProbGrad(const Matrix& q, const Matrix& p, Matrix* grad) {
+  for (int r = 0; r < p.rows(); ++r) {
+    for (int c = 0; c < p.cols(); ++c) {
+      (*grad)(r, c) = -q(r, c) / std::max(p(r, c), 1e-6f);
+    }
+  }
+}
+
+// (recurrent cell, prob-grad head?, reversed minibatch?)
+class NerTrainBatchTest
+    : public testing::TestWithParam<
+          std::tuple<NerTaggerConfig::Recurrent, bool, bool>> {};
+
+TEST_P(NerTrainBatchTest, MatchesPerInstanceLoopBytewise) {
+  const auto [recurrent, prob_grad, reversed] = GetParam();
+  Rng data_rng(90);
+  auto emb = MakeEmbeddings(40, 6, &data_rng);
+  NerTaggerConfig config;
+  config.conv_features = 8;
+  config.gru_hidden = 5;
+  config.dropout = 0.3;
+  config.num_classes = 4;
+  config.recurrent = recurrent;
+  // Mixed lengths: a length-1 sentence, equal-length runs split apart in
+  // minibatch order, and the longest ones not first.
+  std::vector<int> lengths = {3, 1, 7, 3, 3, 5, 7, 2, 5, 4, 3};
+  if (reversed) std::reverse(lengths.begin(), lengths.end());
+  const int n = static_cast<int>(lengths.size());
+  std::vector<data::Instance> xs;
+  std::vector<Matrix> qs;
+  std::vector<float> weights;
+  for (int len : lengths) {
+    xs.push_back(MakeInstance(len, 40, &data_rng, true, 4));
+    Matrix q(len, 4);
+    for (int t = 0; t < len; ++t) {
+      double sum = 0.0;
+      for (int c = 0; c < 4; ++c) sum += q(t, c) = 0.1f + data_rng.Uniform();
+      for (int c = 0; c < 4; ++c) q(t, c) = static_cast<float>(q(t, c) / sum);
+    }
+    qs.push_back(std::move(q));
+    weights.push_back(static_cast<float>(1 + data_rng.UniformInt(4)));
+  }
+  std::vector<const data::Instance*> batch;
+  for (const data::Instance& x : xs) batch.push_back(&x);
+
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    Rng init_a(5), init_b(5);
+    NerTagger batched(config, emb, &init_a);
+    NerTagger looped(config, emb, &init_b);
+    Rng rng_a(77), rng_b(77);
+
+    TrainHead head;
+    head.weights = weights;
+    std::vector<Matrix> batch_probs(n);
+    if (prob_grad) {
+      head.prob_grad = [&](int b, const Matrix& p, Matrix* grad) {
+        batch_probs[b] = p;
+        CrossEntropyProbGrad(qs[b], p, grad);
+      };
+    } else {
+      for (const Matrix& q : qs) head.targets.push_back(&q);
+    }
+    util::Parallelizer exec(threads);
+    std::vector<double> losses;
+    batched.TrainBatch(batch, head, &rng_a, &exec, &losses);
+    ASSERT_EQ(static_cast<int>(losses.size()), n);
+
+    for (int b = 0; b < n; ++b) {
+      const Matrix& p = looped.ForwardTrain(xs[b], &rng_b);
+      if (prob_grad) {
+        EXPECT_TRUE(SameBytes(p, batch_probs[b])) << "probs of " << b;
+        Matrix grad(p.rows(), p.cols());
+        CrossEntropyProbGrad(qs[b], p, &grad);
+        looped.BackwardProbGrad(grad, weights[b]);
+        EXPECT_EQ(losses[b], 0.0);
+      } else {
+        const double loss = looped.BackwardSoftTarget(qs[b], weights[b]);
+        EXPECT_EQ(loss, losses[b]) << "loss of " << b;
+      }
+    }
+    const std::vector<nn::Parameter*> pa = batched.Params();
+    const std::vector<nn::Parameter*> pb = looped.Params();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (size_t i = 0; i < pa.size(); ++i) {
+      EXPECT_TRUE(SameBytes(pa[i]->grad, pb[i]->grad)) << pa[i]->name;
+    }
+    EXPECT_TRUE(rng_a.engine() == rng_b.engine()) << "dropout stream";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CellsHeadsOrders, NerTrainBatchTest,
+    testing::Combine(testing::Values(NerTaggerConfig::Recurrent::kGru,
+                                     NerTaggerConfig::Recurrent::kLstm),
+                     testing::Bool(), testing::Bool()));
+
+TEST(NerTrainBatchTest, BaseClassLoopMatchesTextCnn) {
+  // Models without their own TrainBatch run the base-class loop: the same
+  // ForwardTrain / BackwardSoftTarget sequence, losses reported per instance.
+  Rng data_rng(91);
+  auto emb = MakeEmbeddings(40, 6, &data_rng);
+  TextCnnConfig config;
+  config.feature_maps = 4;
+  std::vector<data::Instance> xs;
+  std::vector<Matrix> qs;
+  for (int len : {6, 2, 9}) {
+    xs.push_back(MakeInstance(len, 40, &data_rng, false, 2));
+    Matrix q(1, 2);
+    q(0, 0) = 0.25f;
+    q(0, 1) = 0.75f;
+    qs.push_back(q);
+  }
+  Rng init_a(6), init_b(6), rng_a(8), rng_b(8);
+  TextCnn batched(config, emb, &init_a);
+  TextCnn looped(config, emb, &init_b);
+  TrainHead head;
+  std::vector<const data::Instance*> batch;
+  for (size_t b = 0; b < xs.size(); ++b) {
+    batch.push_back(&xs[b]);
+    head.targets.push_back(&qs[b]);
+  }
+  std::vector<double> losses;
+  batched.TrainBatch(batch, head, &rng_a, nullptr, &losses);
+  for (size_t b = 0; b < xs.size(); ++b) {
+    looped.ForwardTrain(xs[b], &rng_b);
+    EXPECT_EQ(looped.BackwardSoftTarget(qs[b], 1.0f), losses[b]);
+  }
+  for (size_t i = 0; i < batched.Params().size(); ++i) {
+    EXPECT_TRUE(SameBytes(batched.Params()[i]->grad, looped.Params()[i]->grad));
+  }
 }
 
 // ----------------------------------------------------- LogisticRegression --

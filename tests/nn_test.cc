@@ -12,6 +12,7 @@
 #include "nn/embedding.h"
 #include "nn/gradcheck.h"
 #include "nn/gru.h"
+#include "nn/lanes.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/maxpool.h"
@@ -913,6 +914,128 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(2, 3, 1),
                     std::make_tuple(3, 2, 4), std::make_tuple(4, 4, 8),
                     std::make_tuple(5, 3, 12), std::make_tuple(2, 6, 6)));
+
+// -------------------------------------------------- Variable-length batches --
+
+// A recurrent batch in the nn::Gru / nn::Lstm layout: lanes sorted by
+// non-increasing length, rows stored lane by lane — with a length-1 lane and
+// a run of equal lengths.
+const std::vector<int> kBatchLengths = {6, 4, 4, 4, 2, 1};
+
+Matrix SliceRows(const Matrix& m, int row, int rows) {
+  Matrix out(rows, m.cols());
+  std::copy(m.Row(row), m.Row(row) + out.size(), out.data());
+  return out;
+}
+
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// 0.5 * ||h - target||^2; its gradient dL/dh into *grad when non-null.
+double HalfSquaredError(const Matrix& h, const Matrix& target, Matrix* grad) {
+  if (grad != nullptr) grad->Resize(h.rows(), h.cols());
+  double loss = 0.0;
+  for (int t = 0; t < h.rows(); ++t) {
+    for (int c = 0; c < h.cols(); ++c) {
+      const float d = h(t, c) - target(t, c);
+      loss += 0.5 * d * d;
+      if (grad != nullptr) (*grad)(t, c) = d;
+    }
+  }
+  return loss;
+}
+
+template <typename Cell>
+class RecurrentBatchTest : public testing::Test {};
+using RecurrentCells = testing::Types<Gru, Lstm>;
+TYPED_TEST_SUITE(RecurrentBatchTest, RecurrentCells);
+
+TYPED_TEST(RecurrentBatchTest, BatchEqualsLanesRunAlone) {
+  Rng init_batch(811), init_lane(811), rng(812);
+  TypeParam batch_cell("c", 3, 4, &init_batch);
+  TypeParam lane_cell("c", 3, 4, &init_lane);
+  const std::vector<int> offsets = LaneOffsets(kBatchLengths);
+  const Matrix x = RandomMatrix(offsets.back(), 3, &rng);
+  const Matrix target = RandomMatrix(offsets.back(), 4, &rng, 0.3);
+
+  typename TypeParam::Cache cache;
+  Matrix h, h_infer, grad_h, grad_x;
+  batch_cell.Forward(x, kBatchLengths, &cache, &h);
+  batch_cell.Forward(x, kBatchLengths, nullptr, &h_infer);
+  EXPECT_TRUE(SameBytes(h, h_infer)) << "the cache changes the forward";
+  HalfSquaredError(h, target, &grad_h);
+  typename TypeParam::Grads grads;
+  batch_cell.Backward(x, kBatchLengths, cache, grad_h, &grads, &grad_x);
+  for (size_t b = 0; b < kBatchLengths.size(); ++b) {
+    batch_cell.AccumulateGrads(x, grads, offsets[b], kBatchLengths[b]);
+  }
+
+  for (size_t b = 0; b < kBatchLengths.size(); ++b) {
+    const Matrix xb = SliceRows(x, offsets[b], kBatchLengths[b]);
+    typename TypeParam::Cache lane_cache;
+    Matrix hb, gxb;
+    lane_cell.Forward(xb, &lane_cache, &hb);
+    lane_cell.Backward(xb, lane_cache,
+                       SliceRows(grad_h, offsets[b], kBatchLengths[b]), &gxb);
+    EXPECT_TRUE(SameBytes(hb, SliceRows(h, offsets[b], kBatchLengths[b])))
+        << "lane " << b;
+    EXPECT_TRUE(SameBytes(gxb, SliceRows(grad_x, offsets[b], kBatchLengths[b])))
+        << "lane " << b;
+  }
+  const std::vector<Parameter*> pb = batch_cell.Params();
+  const std::vector<Parameter*> pl = lane_cell.Params();
+  for (size_t i = 0; i < pb.size(); ++i) {
+    EXPECT_TRUE(SameBytes(pb[i]->grad, pl[i]->grad)) << pb[i]->name;
+  }
+}
+
+TYPED_TEST(RecurrentBatchTest, BatchGradientsMatchFiniteDifferences) {
+  Rng rng(821);
+  TypeParam cell("c", 3, 4, &rng);
+  const std::vector<int> offsets = LaneOffsets(kBatchLengths);
+  Matrix x = RandomMatrix(offsets.back(), 3, &rng);
+  const Matrix target = RandomMatrix(offsets.back(), 4, &rng, 0.3);
+  auto loss_with = [&](const Matrix& input) {
+    Matrix h;
+    cell.Forward(input, kBatchLengths, nullptr, &h);
+    return HalfSquaredError(h, target, nullptr);
+  };
+  Matrix grad_x;
+  auto compute_grads = [&]() {
+    ZeroGrads(cell.Params());
+    typename TypeParam::Cache cache;
+    typename TypeParam::Grads grads;
+    Matrix h, grad_h;
+    cell.Forward(x, kBatchLengths, &cache, &h);
+    HalfSquaredError(h, target, &grad_h);
+    cell.Backward(x, kBatchLengths, cache, grad_h, &grads, &grad_x);
+    // Lanes in a caller-chosen order (here: reversed).
+    for (int b = static_cast<int>(kBatchLengths.size()) - 1; b >= 0; --b) {
+      cell.AccumulateGrads(x, grads, offsets[b], kBatchLengths[b]);
+    }
+  };
+  const GradCheckResult r = CheckGradients([&] { return loss_with(x); },
+                                           compute_grads, cell.Params(), &rng,
+                                           1e-3, 8);
+  EXPECT_LT(r.max_rel_error, 3e-2) << "abs " << r.max_abs_error;
+
+  compute_grads();
+  const double eps = 1e-3;
+  for (int t = 0; t < x.rows(); ++t) {
+    for (int d = 0; d < x.cols(); ++d) {
+      const float orig = x(t, d);
+      x(t, d) = orig + static_cast<float>(eps);
+      const double lp = loss_with(x);
+      x(t, d) = orig - static_cast<float>(eps);
+      const double lm = loss_with(x);
+      x(t, d) = orig;
+      EXPECT_NEAR(grad_x(t, d), (lp - lm) / (2.0 * eps), 5e-3)
+          << "at (" << t << "," << d << ")";
+    }
+  }
+}
 
 // -------------------------------------------------------------- Optimizer --
 
