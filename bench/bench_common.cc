@@ -243,50 +243,6 @@ std::string FitDigest(const core::LogicLnclResult& result) {
 }
 
 namespace {
-int ArgmaxRow(const util::Matrix& m, int row) {
-  int best = 0;
-  for (int j = 1; j < m.cols(); ++j) {
-    if (m(row, j) > m(row, best)) best = j;
-  }
-  return best;
-}
-}  // namespace
-
-Int8Gate MeasureInt8Gate(
-    core::LogicLncl* m, const data::Dataset& eval_set,
-    const std::function<double(const std::vector<util::Matrix>&)>& score) {
-  Int8Gate gate;
-  m->SetQuantizedPredict(false);
-  const std::vector<util::Matrix> fp32 = m->PredictStudentBatch(eval_set);
-  m->SetQuantizedPredict(true);
-  const std::vector<util::Matrix> int8 = m->PredictStudentBatch(eval_set);
-  m->SetQuantizedPredict(false);
-  gate.fp32_score = score(fp32);
-  gate.int8_score = score(int8);
-  int agree = 0;
-  for (size_t i = 0; i < fp32.size(); ++i) {
-    for (int r = 0; r < fp32[i].rows(); ++r) {
-      ++gate.rows;
-      if (ArgmaxRow(fp32[i], r) == ArgmaxRow(int8[i], r)) ++agree;
-    }
-  }
-  gate.argmax_agreement =
-      gate.rows > 0 ? static_cast<double>(agree) / gate.rows : 1.0;
-  return gate;
-}
-
-void PrintInt8Gate(const Int8Gate& gate) {
-  std::cout << "int8 serving gate: argmax agreement "
-            << util::FormatFixed(gate.argmax_agreement * 100.0, 2) << "% over "
-            << gate.rows << " rows; score fp32 "
-            << util::FormatFixed(gate.fp32_score * 100.0, 2) << " vs int8 "
-            << util::FormatFixed(gate.int8_score * 100.0, 2) << " (delta "
-            << util::FormatFixed(
-                   (gate.int8_score - gate.fp32_score) * 100.0, 3)
-            << ")\n";
-}
-
-namespace {
 void WriteFitJson(std::ostream& os, const TimedFit& fit) {
   const core::PhaseSeconds& p = fit.result.phase_seconds;
   os << "    {\"mode\": \"" << fit.mode << "\", "
@@ -305,7 +261,7 @@ void WriteFitJson(std::ostream& os, const TimedFit& fit) {
 }  // namespace
 
 void EmitBenchJson(const std::string& id, double bench_seconds,
-                   const std::vector<TimedFit>& fits, const Int8Gate* int8) {
+                   const std::vector<TimedFit>& fits) {
   std::filesystem::create_directories("results");
   const std::string path = "results/BENCH_" + id + ".json";
   std::ofstream os(path);
@@ -320,33 +276,7 @@ void EmitBenchJson(const std::string& id, double bench_seconds,
     WriteFitJson(os, fits[i]);
     os << (i + 1 < fits.size() ? ",\n" : "\n");
   }
-  os << "  ]";
-  double batched = 0.0, per_instance = 0.0;
-  for (const TimedFit& fit : fits) {
-    if (fit.mode == "batched") batched = fit.result.phase_seconds.total;
-    if (fit.mode == "per_instance") {
-      per_instance = fit.result.phase_seconds.total;
-    }
-  }
-  if (batched > 0.0 && per_instance > 0.0) {
-    os << ",\n  \"speedup_end_to_end\": "
-       << util::FormatFixed(per_instance / batched, 3);
-    std::cout << "end-to-end fit speedup (per_instance / batched): "
-              << util::FormatFixed(per_instance / batched, 2) << "x\n";
-  }
-  if (int8 != nullptr) {
-    os << ",\n  \"int8_gate\": {"
-       << "\"argmax_agreement\": "
-       << util::FormatFixed(int8->argmax_agreement, 6) << ", "
-       << "\"rows\": " << int8->rows << ", "
-       << "\"fp32_score\": " << util::FormatFixed(int8->fp32_score, 10)
-       << ", "
-       << "\"int8_score\": " << util::FormatFixed(int8->int8_score, 10)
-       << ", "
-       << "\"score_delta\": "
-       << util::FormatFixed(int8->int8_score - int8->fp32_score, 10) << "}";
-  }
-  os << "\n}\n";
+  os << "  ]\n}\n";
   std::cout << "[bench json written to " << path << "]\n";
 }
 

@@ -103,10 +103,11 @@ void PrintConfigBanner(const std::string& bench, const Scale& scale,
 // under the current working directory).
 void EmitTable(util::Table* table, const std::string& id);
 
-// One end-to-end Logic-LNCL fit timed under a prediction-pipeline mode:
-// "batched" = LogicLnclConfig.batch_predict on (length-bucketed PredictBatch
-// for the E-step, projection, and dev eval), "per_instance" = the legacy
-// one-Predict-per-instance pipeline (the pre-batching baseline).
+// One end-to-end Logic-LNCL fit, labelled by `mode` in the bench JSON and
+// history records. The table benches time one "batched" fit (every
+// prediction through Model::PredictBatch); the label stays so existing
+// history records and bench_compare.py's `fit:batched` headline keep
+// matching.
 struct TimedFit {
   std::string mode;
   core::LogicLnclResult result;
@@ -124,34 +125,11 @@ void PrintPhaseSeconds(const std::string& label,
 // this to assert that -DLNCL_AUDIT=ON only reads: same seed, same digest.
 std::string FitDigest(const core::LogicLnclResult& result);
 
-// Int8-vs-fp32 serving gate: scores the same fitted model through
-// PredictStudentBatch twice (fp32, then config.quantized_predict = true) and
-// records row-level argmax agreement plus a task metric for each arm.
-// `score` maps batched posteriors to the bench's headline metric (accuracy
-// for sentiment, span-F1 for NER). Leaves the model back in fp32 mode.
-struct Int8Gate {
-  double argmax_agreement = 0.0;  // fraction of rows with equal argmax
-  double fp32_score = 0.0;
-  double int8_score = 0.0;
-  int rows = 0;                   // rows compared (tokens for sequences)
-};
-
-Int8Gate MeasureInt8Gate(
-    core::LogicLncl* m, const data::Dataset& eval_set,
-    const std::function<double(const std::vector<util::Matrix>&)>& score);
-
-// One-line report of the gate.
-void PrintInt8Gate(const Int8Gate& gate);
-
 // Writes results/BENCH_<id>.json: the bench-wide wall time plus, per timed
 // fit, the end-to-end Fit seconds, the per-phase breakdown, whether the
-// binary was an audit build, and FitDigest of the result. When both a
-// "batched" and a "per_instance" fit are present, also records their
-// end-to-end speedup (per_instance total / batched total). When `int8` is
-// non-null, records the quantized-serving gate next to the fits.
+// binary was an audit build, and FitDigest of the result.
 void EmitBenchJson(const std::string& id, double bench_seconds,
-                   const std::vector<TimedFit>& fits,
-                   const Int8Gate* int8 = nullptr);
+                   const std::vector<TimedFit>& fits);
 
 }  // namespace lncl::bench
 

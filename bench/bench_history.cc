@@ -103,7 +103,7 @@ void WriteCounters(std::ostream& os, const obs::Prof::SpanAgg& agg) {
 
 bool AppendBenchHistory(const std::string& id, double wall_seconds,
                         const std::vector<TimedFit>& fits,
-                        const Int8Gate* int8, const std::string& path) {
+                        const std::string& path) {
   const std::filesystem::path parent =
       std::filesystem::path(path).parent_path();
   if (!parent.empty()) {
@@ -145,11 +145,7 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
        << ", \"e_step\": " << Num(p.e_step)
        << ", \"dev_eval\": " << Num(p.dev_eval) << "}}";
   }
-  os << "]";
-  if (int8 != nullptr) {
-    os << ", \"int8_argmax_agreement\": " << Num(int8->argmax_agreement);
-  }
-  os << "}\n";
+  os << "]}\n";
   if (os) {
     std::cout << "[bench history appended to " << path << "]\n";
     return true;
@@ -158,7 +154,7 @@ bool AppendBenchHistory(const std::string& id, double wall_seconds,
 }
 
 bool AppendBenchHistory(const std::string& id, double wall_seconds) {
-  return AppendBenchHistory(id, wall_seconds, {}, nullptr);
+  return AppendBenchHistory(id, wall_seconds, {});
 }
 
 }  // namespace lncl::bench

@@ -19,8 +19,7 @@
 //    "wall_seconds": 1.23,
 //    "counters": {"spans": 2, "cycles": 0, ..., "ipc": 0.0, ...},
 //    "fits": [{"mode": "batched", "digest": "...", "fit_seconds": 0.2,
-//              "phase_seconds": {"m_step": ..., ...}}, ...],
-//    "int8_argmax_agreement": 1.0}            // only when int8 != nullptr
+//              "phase_seconds": {"m_step": ..., ...}}, ...]}
 //
 // Fig-style benches with no timed fits call the two-argument overload; the
 // record then carries an empty fits array and zero counters unless a Prof
@@ -43,7 +42,6 @@ std::string GitRevision();
 // opened/written (the bench itself is unaffected).
 bool AppendBenchHistory(const std::string& id, double wall_seconds,
                         const std::vector<TimedFit>& fits,
-                        const Int8Gate* int8 = nullptr,
                         const std::string& path =
                             "results/BENCH_history.jsonl");
 

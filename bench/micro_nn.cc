@@ -14,7 +14,6 @@
 #include "nn/gru.h"
 #include "nn/linear.h"
 #include "nn/optimizer.h"
-#include "nn/quantize.h"
 #include "nn/softmax.h"
 #include "util/gemm_kernel.h"
 #include "util/rng.h"
@@ -87,35 +86,6 @@ void BM_GemmScalarRef(benchmark::State& state) {
   GemmShapeBench(state, util::gemm::Kind::kScalar);
 }
 BENCHMARK(BM_GemmScalarRef)->Args({14, 16, 160})->Args({14, 64, 160});
-
-// Int8 serving kernel at the conv-interior shapes (per-row-quantized
-// weights, fp32 accumulate; see nn/quantize.h).
-void BM_GemmInt8Microkernel(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int n = static_cast<int>(state.range(1));
-  const int k = static_cast<int>(state.range(2));
-  util::Rng rng(8);
-  const std::vector<float> a = RandomBuffer(static_cast<size_t>(m) * k, &rng);
-  const std::vector<float> bias = RandomBuffer(n, &rng);
-  util::Matrix w(n, k);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < k; ++j) w(i, j) = static_cast<float>(rng.Gaussian());
-  }
-  nn::RowQuantized qw;
-  nn::QuantizeRows(w, &qw);
-  std::vector<float> c(static_cast<size_t>(m) * n);
-  for (auto _ : state) {
-    util::gemm::GemmInt8(m, n, k, a.data(), k, qw.q.data(), qw.scale.data(),
-                         c.data(), n, bias.data(), util::Act::kRelu);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.counters["GFLOPS"] = benchmark::Counter(
-      2.0 * m * n * k * static_cast<double>(state.iterations()) * 1e-9,
-      benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_GemmInt8Microkernel)
-    ->Args({14, 16, 160})
-    ->Args({14, 64, 160});
 
 void BM_LinearForward(benchmark::State& state) {
   util::Rng rng(1);

@@ -254,17 +254,15 @@ void Run(int argc, char** argv) {
               << " p=" << util::FormatFixed(inf.p_one_sided, 4) << "\n";
   }
 
-  // ---- Timed end-to-end fit: batched pipeline vs the per-instance path.
-  // Same seed for both, so the trajectories (and therefore the work done per
-  // epoch) are bit-identical; only the prediction pipeline differs.
+  // ---- Timed end-to-end fit (fixed seed 424242).
   //
-  // --telemetry (default on) turns the timed fits into the telemetry
-  // showcase: metrics registry enabled, a Perfetto-loadable trace of both
-  // fits, and a per-epoch run log attached to the batched one. All of it is
-  // observation-only, so the batched/per_instance digest equality in
-  // results/BENCH_table2.json is unaffected.
+  // --telemetry (default on) turns the timed fit into the telemetry
+  // showcase: metrics registry enabled, a Perfetto-loadable trace of the
+  // fit, and a per-epoch run log attached to it. All of it is
+  // observation-only, so the digest in results/BENCH_table2.json is
+  // unaffected (scripts/bench_obs_overhead.sh checks this).
   // --prof (default: follow --telemetry) additionally arms perf-counter
-  // span attribution (obs::Prof) over the timed fits and writes the
+  // span attribution (obs::Prof) over the timed fit and writes the
   // per-span counter aggregates to results/prof_table2.json.
   const bool telemetry = config.GetBool("telemetry", true);
   const bool prof = config.GetBool("prof", telemetry);
@@ -277,35 +275,22 @@ void Run(int argc, char** argv) {
         "results/runlog_table2.jsonl", "table2/batched");
   }
   if (prof) obs::Prof::Start();
-  std::cout << "--- timed Logic-LNCL fit (same seed, batched vs "
-               "per-instance) ---\n";
+  std::cout << "--- timed Logic-LNCL fit ---\n";
   std::vector<TimedFit> fits;
-  Int8Gate int8_gate;
-  for (const bool batched : {false, true}) {
+  {
     util::Rng rng(424242);
     std::unique_ptr<models::Model> model = cnn(&rng);
     core::SentimentButRule rule(model.get(), setup.corpus.but_token);
     core::LogicLnclConfig lcfg = SentimentLnclConfig(scale);
-    lcfg.batch_predict = batched;
-    if (batched && run_log != nullptr) lcfg.run_observer = run_log.get();
+    lcfg.run_observer = run_log.get();
     core::LogicLncl m(lcfg, std::move(model), &rule);
     core::LogicLnclResult res;
     {
-      LNCL_TRACE_SPAN_ARG("timed_fit", "batched", batched ? 1 : 0);
+      LNCL_TRACE_SPAN("timed_fit");
       res = m.Fit(train, ann, dev, &rng);
     }
-    const std::string mode = batched ? "batched" : "per_instance";
-    PrintPhaseSeconds("Logic-LNCL fit (" + mode + ")", res.phase_seconds);
-    fits.push_back({mode, res});
-    if (batched) {
-      // Quantized-serving accuracy gate on the fitted model (see
-      // LogicLnclConfig.quantized_predict): both arms score the test split.
-      int8_gate = MeasureInt8Gate(&m, test, [&](
-          const std::vector<util::Matrix>& p) {
-        return eval::PosteriorAccuracy(p, test);
-      });
-      PrintInt8Gate(int8_gate);
-    }
+    PrintPhaseSeconds("Logic-LNCL fit (batched)", res.phase_seconds);
+    fits.push_back({"batched", res});
   }
   if (prof) {
     obs::Prof::Stop();
@@ -321,8 +306,8 @@ void Run(int argc, char** argv) {
     std::cout << "[telemetry: results/trace_table2.json "
                  "results/runlog_table2.jsonl results/metrics_table2.json]\n";
   }
-  EmitBenchJson("table2", bench_timer.Seconds(), fits, &int8_gate);
-  AppendBenchHistory("table2", bench_timer.Seconds(), fits, &int8_gate);
+  EmitBenchJson("table2", bench_timer.Seconds(), fits);
+  AppendBenchHistory("table2", bench_timer.Seconds(), fits);
 }
 
 }  // namespace

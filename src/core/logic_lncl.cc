@@ -137,10 +137,6 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
   std::vector<util::Matrix> best_qf = qf_;
   crowd::ConfusionSet best_confusions;
 
-  const eval::Predictor student = [this](const data::Instance& x) {
-    return model_->Predict(x);
-  };
-
   // Telemetry (src/obs): PhaseSpan both accumulates PhaseSeconds and, when
   // tracing is active, emits one trace event per phase; the observer (if
   // any) gets one EpochRecord per epoch. All of it only reads trainer state,
@@ -182,9 +178,7 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
           projector_ != nullptr && config_.use_rules_in_training && k > 0.0;
       // Hoisted likelihood logs (once per annotator per epoch rather than
       // once per labeled instance; same float values as the in-line logs).
-      const std::vector<util::Matrix> log_pi =
-          config_.batch_predict ? LogConfusions(confusions_)
-                                : std::vector<util::Matrix>();
+      const std::vector<util::Matrix> log_pi = LogConfusions(confusions_);
       std::vector<ProjectionStats> slot_stats(util::Parallelizer::kSlots);
       {
         obs::PhaseSpan span("e_step", &result.phase_seconds.e_step);
@@ -197,61 +191,40 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
                 obs::Metrics::GetCounter("e_step.instances");
             instances->Add(static_cast<uint64_t>(end - begin));
           }
-          if (config_.batch_predict) {
-            if (begin >= end) return;
-            std::vector<const data::Instance*> xs;
-            xs.reserve(end - begin);
-            for (int i = begin; i < end; ++i) {
-              xs.push_back(&train.instances[i]);
-            }
-            std::vector<util::Matrix> probs;
-            model_->PredictBatch(xs, &probs);
-            std::vector<util::Matrix> qa(xs.size());
-            for (int i = begin; i < end; ++i) {
-              qa[i - begin] =
-                  ComputeQa(probs[i - begin], annotations.instance(i), log_pi);
-            }
-            if (project) {
-              // ProjectBatch rewrites in place, so q_a is copied to blend
-              // below.
-              std::vector<util::Matrix> qb = qa;
-              projector_->ProjectBatch(xs, &qb, config_.C);
-              for (size_t j = 0; j < qa.size(); ++j) {
-                if (observe) slot_stats[slot].Accumulate(qa[j], qb[j]);
-                util::Matrix& qaj = qa[j];
-                const util::Matrix& qbj = qb[j];
-                for (int t = 0; t < qaj.rows(); ++t) {
-                  for (int c = 0; c < qaj.cols(); ++c) {
-                    qaj(t, c) = static_cast<float>((1.0 - k) * qaj(t, c) +
-                                                   k * qbj(t, c));
-                  }
-                }
-              }
-            }
-            // Eq. 9 blend of two simplexes stays a simplex.
-            for (const util::Matrix& q : qa) LNCL_AUDIT_SIMPLEX(q);
-            for (int i = begin; i < end; ++i) {
-              qf_[i] = std::move(qa[i - begin]);
-            }
-            return;
-          }
+          if (begin >= end) return;
+          std::vector<const data::Instance*> xs;
+          xs.reserve(end - begin);
           for (int i = begin; i < end; ++i) {
-            const data::Instance& x = train.instances[i];
-            const util::Matrix probs = model_->Predict(x);
-            util::Matrix qa =
-                ComputeQa(probs, annotations.instance(i), confusions_);
-            if (project) {
-              const util::Matrix qb = projector_->Project(x, qa, config_.C);
-              if (observe) slot_stats[slot].Accumulate(qa, qb);
-              for (int t = 0; t < qa.rows(); ++t) {
-                for (int c = 0; c < qa.cols(); ++c) {
-                  qa(t, c) = static_cast<float>((1.0 - k) * qa(t, c) +
-                                                k * qb(t, c));
+            xs.push_back(&train.instances[i]);
+          }
+          std::vector<util::Matrix> probs;
+          model_->PredictBatch(xs, &probs);
+          std::vector<util::Matrix> qa(xs.size());
+          for (int i = begin; i < end; ++i) {
+            qa[i - begin] =
+                ComputeQa(probs[i - begin], annotations.instance(i), log_pi);
+          }
+          if (project) {
+            // ProjectBatch rewrites in place, so q_a is copied to blend
+            // below.
+            std::vector<util::Matrix> qb = qa;
+            projector_->ProjectBatch(xs, &qb, config_.C);
+            for (size_t j = 0; j < qa.size(); ++j) {
+              if (observe) slot_stats[slot].Accumulate(qa[j], qb[j]);
+              util::Matrix& qaj = qa[j];
+              const util::Matrix& qbj = qb[j];
+              for (int t = 0; t < qaj.rows(); ++t) {
+                for (int c = 0; c < qaj.cols(); ++c) {
+                  qaj(t, c) = static_cast<float>((1.0 - k) * qaj(t, c) +
+                                                 k * qbj(t, c));
                 }
               }
             }
-            LNCL_AUDIT_SIMPLEX(qa);
-            qf_[i] = std::move(qa);
+          }
+          // Eq. 9 blend of two simplexes stays a simplex.
+          for (const util::Matrix& q : qa) LNCL_AUDIT_SIMPLEX(q);
+          for (int i = begin; i < end; ++i) {
+            qf_[i] = std::move(qa[i - begin]);
           }
         });
         anchor();
@@ -261,8 +234,7 @@ LogicLnclResult LogicLncl::FitInternal(const data::Dataset& train,
       double dev_score = 0.0;
       {
         obs::PhaseSpan span("dev_eval", &result.phase_seconds.dev_eval);
-        dev_score = config_.batch_predict ? eval::DevScore(*model_, dev)
-                                          : eval::DevScore(student, dev);
+        dev_score = eval::DevScore(*model_, dev);
       }
       result.dev_curve.push_back(dev_score);
       const int prev_best = stopper.best_epoch();
@@ -383,16 +355,8 @@ util::Matrix LogicLncl::PredictTeacher(const data::Instance& x) const {
 
 std::vector<util::Matrix> LogicLncl::PredictStudentBatch(
     const data::Dataset& dataset) const {
-  // quantized_predict applies only to these batched serving entries — the
-  // E-step and training always see the fp32 model. The toggle requantizes
-  // eagerly (once per call, single-threaded here) and is reset before
-  // returning so later Fit/Predict calls are untouched.
-  LNCL_TRACE_SPAN_ARG("serve_batch", "quantized",
-                      config_.quantized_predict ? 1 : 0);
-  if (config_.quantized_predict) model_->SetQuantizedPredict(true);
-  std::vector<util::Matrix> probs = model_->PredictBatch(dataset);
-  if (config_.quantized_predict) model_->SetQuantizedPredict(false);
-  return probs;
+  LNCL_TRACE_SPAN("serve_batch");
+  return model_->PredictBatch(dataset);
 }
 
 std::vector<util::Matrix> LogicLncl::PredictTeacherBatch(
@@ -401,11 +365,8 @@ std::vector<util::Matrix> LogicLncl::PredictTeacherBatch(
   xs.reserve(dataset.instances.size());
   for (const data::Instance& x : dataset.instances) xs.push_back(&x);
   std::vector<util::Matrix> probs;
-  LNCL_TRACE_SPAN_ARG("serve_batch", "quantized",
-                      config_.quantized_predict ? 1 : 0);
-  if (config_.quantized_predict) model_->SetQuantizedPredict(true);
+  LNCL_TRACE_SPAN("serve_batch");
   model_->PredictBatch(xs, &probs);
-  if (config_.quantized_predict) model_->SetQuantizedPredict(false);
   if (projector_ != nullptr) projector_->ProjectBatch(xs, &probs, config_.C);
   return probs;
 }

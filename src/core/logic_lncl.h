@@ -45,19 +45,6 @@ struct LogicLnclConfig {
   // mean one thread. Every reduction keeps a fixed order, so this setting
   // never changes a result — any value gives the same trajectory.
   int threads = 0;
-  // Use Model::PredictBatch for the E-step sweep, dev evaluation, and
-  // rule projection (one batched clause-B prediction per slot instead of one
-  // Predict per grounded instance). Bit-identical to the per-instance path
-  // at any threads setting — the batched kernels only add GEMM rows — so
-  // this is purely a performance switch; false keeps the PR-1-era
-  // per-instance pipeline (the bench baseline).
-  bool batch_predict = true;
-  // Serve PredictStudentBatch / PredictTeacherBatch from post-training int8
-  // weights (per-row symmetric quantization, fp32 accumulate; see
-  // nn/quantize.h and DESIGN.md §9). Inference-only: training, the E-step,
-  // and the per-instance Predict entries always run fp32. Off by default;
-  // the bench accuracy gate records the int8-vs-fp32 argmax agreement.
-  bool quantized_predict = false;
   // Optional telemetry sink (src/obs/run_log.h): receives one EpochRecord
   // per epoch (loss, dev score, k(t), KL(q_a || q_b), rule satisfaction,
   // confusion diagnostics, phase seconds) and a FitSummary when Fit returns.
@@ -164,11 +151,6 @@ class LogicLncl {
 
   models::Model* model() { return model_.get(); }
   const models::Model* model() const { return model_.get(); }
-
-  // Serving-time switch for config.quantized_predict (see the config field):
-  // affects only the batched Predict*Batch entries. The bench int8 gate uses
-  // this to score the same fitted model both ways.
-  void SetQuantizedPredict(bool on) { config_.quantized_predict = on; }
 
  private:
   LogicLnclResult FitInternal(const data::Dataset& train,

@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace lncl::crowd {
@@ -66,17 +67,17 @@ bool LoadAnswersMatrix(std::istream& is, int num_classes,
   }
   if (rows.empty()) return false;
   const int num_annotators = static_cast<int>(rows.front().size());
-  *annotations = AnnotationSet(static_cast<int>(rows.size()), num_annotators,
-                               num_classes);
+  AnnotationSet loaded(static_cast<int>(rows.size()), num_annotators,
+                       num_classes);
   for (size_t i = 0; i < rows.size(); ++i) {
     for (int j = 0; j < num_annotators; ++j) {
       const int v = rows[i][j];
       if (v < 0 || v > num_classes) return false;
       if (v == 0) continue;
-      annotations->instance(static_cast<int>(i))
-          .entries.push_back({j, {v - 1}});
+      loaded.instance(static_cast<int>(i)).entries.push_back({j, {v - 1}});
     }
   }
+  *annotations = std::move(loaded);  // only a fully validated file commits
   return true;
 }
 
@@ -123,8 +124,8 @@ bool LoadSequenceAnswers(std::istream& is, int num_classes,
   if (blocks.empty()) return false;
 
   const int num_annotators = static_cast<int>(num_cols);
-  *annotations = AnnotationSet(static_cast<int>(blocks.size()),
-                               num_annotators, num_classes);
+  AnnotationSet loaded(static_cast<int>(blocks.size()), num_annotators,
+                       num_classes);
   for (size_t i = 0; i < blocks.size(); ++i) {
     const auto& grid = blocks[i];
     for (int j = 0; j < num_annotators; ++j) {
@@ -139,10 +140,10 @@ bool LoadSequenceAnswers(std::istream& is, int num_classes,
         if (row[j] < 1 || row[j] > num_classes) return false;
         e.labels.push_back(row[j] - 1);
       }
-      annotations->instance(static_cast<int>(i))
-          .entries.push_back(std::move(e));
+      loaded.instance(static_cast<int>(i)).entries.push_back(std::move(e));
     }
   }
+  *annotations = std::move(loaded);  // only a fully validated file commits
   return true;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "data/bio.h"
 #include "util/logging.h"
@@ -33,14 +35,19 @@ void SaveConll(std::ostream& os, const Dataset& dataset, const Vocab& vocab) {
 }
 
 bool LoadConll(std::istream& is, Vocab* vocab, Dataset* dataset) {
-  dataset->sequence = true;
-  dataset->num_classes = kNumBioLabels;
-  Instance current;
+  // Sentences are parsed into `sentences` (token strings + tags) and only
+  // reach `vocab` and `dataset` once every line validated.
+  struct Sentence {
+    std::vector<std::string> tokens;
+    std::vector<int> tags;
+  };
+  std::vector<Sentence> sentences;
+  Sentence current;
   std::string line;
   auto flush = [&]() {
     if (!current.tokens.empty()) {
-      dataset->instances.push_back(std::move(current));
-      current = Instance();
+      sentences.push_back(std::move(current));
+      current = Sentence();
     }
   };
   while (std::getline(is, line)) {
@@ -50,13 +57,23 @@ bool LoadConll(std::istream& is, Vocab* vocab, Dataset* dataset) {
     }
     const size_t tab = line.find('\t');
     if (tab == std::string::npos) return false;
-    const std::string token = line.substr(0, tab);
+    std::string token = line.substr(0, tab);
     const int tag = TagByName(line.substr(tab + 1));
     if (token.empty() || tag < 0) return false;
-    current.tokens.push_back(vocab->Add(token));
-    current.tag_labels.push_back(tag);
+    current.tokens.push_back(std::move(token));
+    current.tags.push_back(tag);
   }
   flush();
+  dataset->sequence = true;
+  dataset->num_classes = kNumBioLabels;
+  for (Sentence& s : sentences) {
+    Instance x;
+    for (const std::string& token : s.tokens) {
+      x.tokens.push_back(vocab->Add(token));
+    }
+    x.tag_labels = std::move(s.tags);
+    dataset->instances.push_back(std::move(x));
+  }
   return true;
 }
 
@@ -73,28 +90,41 @@ void SaveSentimentTsv(std::ostream& os, const Dataset& dataset,
 }
 
 bool LoadSentimentTsv(std::istream& is, Vocab* vocab, Dataset* dataset) {
-  dataset->sequence = false;
+  // Rows are parsed into `rows` (label + token strings) and only reach
+  // `vocab` and `dataset` once every line validated.
+  std::vector<std::pair<int, std::vector<std::string>>> rows;
   std::string line;
   int max_label = dataset->num_classes - 1;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const size_t tab = line.find('\t');
     if (tab == std::string::npos) return false;
-    Instance x;
+    const std::string field = line.substr(0, tab);
+    int label = -1;
     try {
-      x.label = std::stoi(line.substr(0, tab));
+      size_t used = 0;
+      label = std::stoi(field, &used);
+      if (used != field.size()) return false;  // trailing junk, e.g. "1x"
     } catch (...) {
       return false;
     }
-    if (x.label < 0) return false;
-    max_label = std::max(max_label, x.label);
+    if (label < 0) return false;
+    max_label = std::max(max_label, label);
     std::istringstream tokens(line.substr(tab + 1));
+    std::vector<std::string> words;
     std::string token;
-    while (tokens >> token) x.tokens.push_back(vocab->Add(token));
-    if (x.tokens.empty()) return false;
+    while (tokens >> token) words.push_back(token);
+    if (words.empty()) return false;
+    rows.emplace_back(label, std::move(words));
+  }
+  dataset->sequence = false;
+  dataset->num_classes = max_label + 1;
+  for (const auto& [label, words] : rows) {
+    Instance x;
+    x.label = label;
+    for (const std::string& word : words) x.tokens.push_back(vocab->Add(word));
     dataset->instances.push_back(std::move(x));
   }
-  dataset->num_classes = max_label + 1;
   return true;
 }
 

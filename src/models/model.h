@@ -110,15 +110,6 @@ class Model {
                           std::vector<double>* losses);
 
   virtual std::vector<nn::Parameter*> Params() = 0;
-
-  // Toggles the post-training int8 serving mode for subsequent Predict /
-  // PredictBatch calls (see nn/quantize.h). The default is a no-op: models
-  // without a quantizable stack simply keep serving fp32. Quantization
-  // happens eagerly inside the call, so it must not race concurrent
-  // predictions — the trainers toggle it from the single-threaded serving
-  // entry points (core::LogicLncl::PredictStudentBatch and friends), never
-  // during the parallel E-step.
-  virtual void SetQuantizedPredict(bool /*on*/) {}
 };
 
 // Builds a freshly initialized model; each call must produce independent

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "obs/metrics.h"
 #include "nn/activations.h"
 #include "nn/dropout.h"
 #include "nn/lanes.h"
@@ -151,26 +150,11 @@ void NerTagger::AccumulateSequenceGrads(const Lanes& lanes, int lane) {
 
 util::Matrix NerTagger::Predict(const data::Instance& x) const {
   std::vector<util::Matrix> out;
-  PredictLanes({&x}, &out);
+  PredictBatch({&x}, &out);
   return std::move(out[0]);
 }
 
 void NerTagger::PredictBatch(const std::vector<const data::Instance*>& xs,
-                             std::vector<util::Matrix>* out) const {
-  if (quantized_predict_ && obs::Metrics::enabled()) {
-    // Int8 serving visibility: per-call and per-instance volume through the
-    // quantized path (the int8 GEMMs themselves count under gemm.int8.*).
-    static obs::Counter* const calls =
-        obs::Metrics::GetCounter("quantized_predict.calls");
-    static obs::Counter* const instances =
-        obs::Metrics::GetCounter("quantized_predict.instances");
-    calls->Add(1);
-    instances->Add(xs.size());
-  }
-  PredictLanes(xs, out);
-}
-
-void NerTagger::PredictLanes(const std::vector<const data::Instance*>& xs,
                              std::vector<util::Matrix>* out) const {
   out->resize(xs.size());
   const int k_cls = config_.num_classes;
@@ -182,13 +166,6 @@ void NerTagger::PredictLanes(const std::vector<const data::Instance*>& xs,
   std::vector<const data::Instance*> chunk;
   for (int start = 0; start < n; start += kPredictLanes) {
     const int end = std::min(n, start + kPredictLanes);
-    if (quantized_predict_ && obs::Metrics::enabled()) {
-      // How full the int8 lane batches run (cap kPredictLanes) —
-      // quantized serving throughput depends on this occupancy.
-      static obs::Histogram* const occupancy = obs::Metrics::GetHistogram(
-          "quantized_predict.bucket_occupancy", {1, 2, 4, 8, 16, 32, 64});
-      occupancy->Observe(static_cast<double>(end - start));
-    }
     chunk.clear();
     for (int j = start; j < end; ++j) chunk.push_back(xs[order[j]]);
     lanes.Assign(chunk, {});
@@ -199,12 +176,6 @@ void NerTagger::PredictLanes(const std::vector<const data::Instance*>& xs,
       (*out)[order[j]] = std::move(m);
     }
   }
-}
-
-void NerTagger::SetQuantizedPredict(bool on) {
-  quantized_predict_ = on;
-  conv_.SetQuantized(on);
-  fc_.SetQuantized(on);
 }
 
 const util::Matrix& NerTagger::ForwardTrain(const data::Instance& x,

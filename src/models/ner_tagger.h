@@ -67,10 +67,6 @@ class NerTagger : public Model {
                   util::Parallelizer* exec,
                   std::vector<double>* losses) override;
   std::vector<nn::Parameter*> Params() override;
-  // Int8 serving: convolution + per-token classifier head. The recurrent
-  // cell stays fp32 — quantization error would compound through the
-  // sequential state, unlike the feed-forward layers (DESIGN.md §9).
-  void SetQuantizedPredict(bool on) override;
 
   static ModelFactory Factory(const NerTaggerConfig& config,
                               data::EmbeddingPtr embeddings);
@@ -101,9 +97,6 @@ class NerTagger : public Model {
                 std::vector<const std::vector<uint8_t>*> lane_masks);
   };
 
-  // Evaluation-mode forward of xs in length-sorted chunks of lanes.
-  void PredictLanes(const std::vector<const data::Instance*>& xs,
-                    std::vector<util::Matrix>* out) const;
   // embed -> conv -> (dropout) -> recurrent -> fc -> softmax over all lanes;
   // `train` applies the lanes' dropout masks and keeps the caches.
   void Forward(Lanes* lanes, bool train) const;
@@ -128,7 +121,6 @@ class NerTagger : public Model {
   std::unique_ptr<nn::Gru> gru_;    // exactly one of gru_/lstm_ is set
   std::unique_ptr<nn::Lstm> lstm_;
   nn::Linear fc_;
-  bool quantized_predict_ = false;  // mirrors the layers' int8 toggle
 
   // ForwardTrain / Backward* state: a batch of one lane.
   Lanes single_;

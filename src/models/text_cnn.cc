@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "obs/metrics.h"
 #include "nn/activations.h"
 #include "nn/dropout.h"
 #include "nn/maxpool.h"
@@ -84,28 +83,10 @@ void TextCnn::PredictBatch(const std::vector<const data::Instance*>& xs,
   util::Matrix& logits = scope.NewMatrix();
   util::Matrix& probs = scope.NewMatrix();
 
-  if (quantized_predict_ && obs::Metrics::enabled()) {
-    // Int8 serving visibility: per-call and per-instance volume through the
-    // quantized path (the int8 GEMMs themselves count under gemm.int8.*).
-    static obs::Counter* const calls =
-        obs::Metrics::GetCounter("quantized_predict.calls");
-    static obs::Counter* const instances =
-        obs::Metrics::GetCounter("quantized_predict.instances");
-    calls->Add(1);
-    instances->Add(xs.size());
-  }
-
   std::vector<int> tokens;
   for (const LengthBucket& bucket : BucketByLength(xs)) {
     const int batch = static_cast<int>(bucket.members.size());
     const int t = bucket.length;
-    if (quantized_predict_ && obs::Metrics::enabled()) {
-      // How full the int8 [B, L] blocks run (cap kMaxPredictBatch = 64) —
-      // quantized serving throughput depends on this occupancy.
-      static obs::Histogram* const occupancy = obs::Metrics::GetHistogram(
-          "quantized_predict.bucket_occupancy", {1, 2, 4, 8, 16, 32, 64});
-      occupancy->Observe(static_cast<double>(batch));
-    }
     // Packed embedding gather: one (batch * t) x D block for the bucket.
     tokens.clear();
     for (int m : bucket.members) {
@@ -209,14 +190,6 @@ void TextCnn::BackwardProbGrad(const util::Matrix& grad_probs, float w) {
   util::Vector grad_logits;
   nn::SoftmaxJacobianVecProduct(p, gp, w, &grad_logits);
   BackwardFromLogits(grad_logits);
-}
-
-void TextCnn::SetQuantizedPredict(bool on) {
-  // Embeddings stay fp32 (a gather, not a GEMM); convolutions and the
-  // classifier head take the int8 path.
-  quantized_predict_ = on;
-  for (auto& conv : convs_) conv->SetQuantized(on);
-  fc_.SetQuantized(on);
 }
 
 std::vector<nn::Parameter*> TextCnn::Params() {

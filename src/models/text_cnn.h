@@ -47,9 +47,6 @@ class TextCnn : public Model {
   double BackwardSoftTarget(const util::Matrix& q, float w) override;
   void BackwardProbGrad(const util::Matrix& grad_probs, float w) override;
   std::vector<nn::Parameter*> Params() override;
-  // Int8 serving: convolutions + classifier head (embeddings are a gather
-  // and stay fp32).
-  void SetQuantizedPredict(bool on) override;
 
   // Factory matching models::ModelFactory.
   static ModelFactory Factory(const TextCnnConfig& config,
@@ -72,7 +69,6 @@ class TextCnn : public Model {
   std::unique_ptr<nn::Embedding> trainable_;  // non-static channel, optional
   std::vector<std::unique_ptr<nn::Conv1d>> convs_;
   nn::Linear fc_;
-  bool quantized_predict_ = false;  // mirrors the layers' int8 toggle
 
   // Cache of the last ForwardTrain.
   struct Cache {

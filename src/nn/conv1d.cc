@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/gemm_kernel.h"
 
@@ -23,24 +22,6 @@ int Conv1d::OutRows(int t) const {
   return std::max(1, t - window_ + 1);
 }
 
-void Conv1d::SetQuantized(bool on) {
-  quantized_ = on;
-  if (on) {
-    QuantizeRows(w_.value, &qw_);
-    if (obs::Metrics::enabled()) {
-      // Requantization volume (see Linear::SetQuantized).
-      static obs::Counter* const tensors =
-          obs::Metrics::GetCounter("quantize.requantized_tensors");
-      static obs::Counter* const rows =
-          obs::Metrics::GetCounter("quantize.requantized_rows");
-      tensors->Add(1);
-      rows->Add(static_cast<uint64_t>(w_.value.rows()));
-    }
-  } else {
-    qw_ = RowQuantized();
-  }
-}
-
 namespace {
 
 // Backward scratch for the dense grad_x path. thread_local (rather than a
@@ -52,16 +33,6 @@ thread_local util::Matrix tls_grad_patches;
 inline void ApplyBiasAct(const float* bias, util::Act act, int f, float* yr) {
   for (int j = 0; j < f; ++j) {
     float v = yr[j] + bias[j];
-    if (act == util::Act::kRelu) v = v > 0.0f ? v : 0.0f;
-    yr[j] = v;
-  }
-}
-
-// Int8 variant: fold the per-filter dequantization scale in first.
-inline void ApplyScaleBiasAct(const float* scale, const float* bias,
-                              util::Act act, int f, float* yr) {
-  for (int j = 0; j < f; ++j) {
-    float v = yr[j] * scale[j] + bias[j];
     if (act == util::Act::kRelu) v = v > 0.0f ? v : 0.0f;
     yr[j] = v;
   }
@@ -99,22 +70,6 @@ void Conv1d::Forward(const util::Matrix& x, util::Matrix* y,
   const int ib = padding_ == Padding::kSame ? (window_ - 1) / 2 : 0;
   const int ie = ib + std::max(0, interior);
 
-  if (quantized_) {
-    LNCL_DCHECK(qw_.Matches(w_.value));
-    if (interior > 0) {
-      util::gemm::GemmInt8(interior, f, k_dim, x.data(), in_dim_,
-                           qw_.q.data(), qw_.scale.data(), y->Row(ib), f,
-                           bias, act);
-    }
-    for (int o = 0; o < out_rows; ++o) {
-      if (o >= ib && o < ie) continue;
-      float* yr = y->Row(o);
-      QuantizedBoundaryRow(x.data(), t, o, yr);
-      ApplyScaleBiasAct(qw_.scale.data(), bias, act, f, yr);
-    }
-    return;
-  }
-
   int ldw = 0;
   const float* wt = util::gemm::PackedOpB(w_.value, util::Trans::kYes, &ldw);
   if (interior > 0) {
@@ -150,26 +105,6 @@ void Conv1d::AccumulateBoundaryRow(const float* wt, const float* x_base,
   }
 }
 
-void Conv1d::QuantizedBoundaryRow(const float* x_base, int t, int o,
-                                  float* yr) const {
-  const int start = WindowStart(o);
-  const int lo = std::max(0, start);
-  const int hi = std::min(t, start + window_);
-  const int off = (lo - start) * in_dim_;
-  const int len = (hi - lo) * in_dim_;
-  const float* xr = x_base + static_cast<size_t>(lo) * in_dim_;
-  const int f = filters();
-  std::fill(yr, yr + f, 0.0f);
-  for (int k = 0; k < len; ++k) {
-    const float xv = xr[k];
-    const int8_t* __restrict qr =
-        qw_.q.data() + static_cast<size_t>(off + k) * f;
-    for (int j = 0; j < f; ++j) {
-      yr[j] = std::fma(xv, static_cast<float>(qr[j]), yr[j]);
-    }
-  }
-}
-
 void Conv1d::ForwardPacked(const util::Matrix& x_packed,
                            const std::vector<int>& lengths,
                            util::Matrix* y_packed, util::Act act) const {
@@ -187,13 +122,8 @@ void Conv1d::ForwardPacked(const util::Matrix& x_packed,
   // buffer would also cover the window-1 windows straddling each instance
   // boundary; at these sequence lengths that is 20-40% wasted rows plus a
   // staging copy, measurably slower than skipping them.
-  const float* wt = nullptr;
   int ldw = 0;
-  if (quantized_) {
-    LNCL_DCHECK(qw_.Matches(w_.value));
-  } else {
-    wt = util::gemm::PackedOpB(w_.value, util::Trans::kYes, &ldw);
-  }
+  const float* wt = util::gemm::PackedOpB(w_.value, util::Trans::kYes, &ldw);
   const float* x_base = x_packed.data();
   float* y_base = y_packed->data();
   for (int t : lengths) {
@@ -201,26 +131,15 @@ void Conv1d::ForwardPacked(const util::Matrix& x_packed,
     const int interior = t - window_ + 1;
     const int ie = ib + std::max(0, interior);
     if (interior > 0) {
-      float* yb = y_base + static_cast<size_t>(ib) * f;
-      if (quantized_) {
-        util::gemm::GemmInt8(interior, f, k_dim, x_base, in_dim_,
-                             qw_.q.data(), qw_.scale.data(), yb, f, bias, act);
-      } else {
-        util::gemm::GemmEx(interior, f, k_dim, 1.0f, x_base, in_dim_,
-                           util::Trans::kNo, wt, ldw, util::Trans::kNo, 0.0f,
-                           yb, f, bias, act);
-      }
+      util::gemm::GemmEx(interior, f, k_dim, 1.0f, x_base, in_dim_,
+                         util::Trans::kNo, wt, ldw, util::Trans::kNo, 0.0f,
+                         y_base + static_cast<size_t>(ib) * f, f, bias, act);
     }
     for (int o = 0; o < out_rows; ++o) {
       if (o >= ib && o < ie) continue;
       float* yr = y_base + static_cast<size_t>(o) * f;
-      if (quantized_) {
-        QuantizedBoundaryRow(x_base, t, o, yr);
-        ApplyScaleBiasAct(qw_.scale.data(), bias, act, f, yr);
-      } else {
-        AccumulateBoundaryRow(wt, x_base, t, o, yr);
-        ApplyBiasAct(bias, act, f, yr);
-      }
+      AccumulateBoundaryRow(wt, x_base, t, o, yr);
+      ApplyBiasAct(bias, act, f, yr);
     }
     x_base += static_cast<size_t>(t) * in_dim_;
     y_base += static_cast<size_t>(out_rows) * f;

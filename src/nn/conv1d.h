@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/parameter.h"
-#include "nn/quantize.h"
 #include "util/matrix.h"
 #include "util/rng.h"
 
@@ -85,12 +84,6 @@ class Conv1d {
   // Number of output rows for a T-row input.
   int OutRows(int t) const;
 
-  // Toggles the int8 serving path for Forward/ForwardPacked (eager
-  // quantization at the toggle point; see Linear::SetQuantized). Backward
-  // always reads the fp32 weights.
-  void SetQuantized(bool on);
-  bool quantized() const { return quantized_; }
-
  private:
   // Leftmost input row index covered by output row `o` (may be negative for
   // kSame padding).
@@ -107,18 +100,11 @@ class Conv1d {
   void AccumulateBoundaryRow(const float* wt, const float* x_base, int t,
                              int o, float* yr) const;
 
-  // Int8 twin of AccumulateBoundaryRow over the quantized panel; leaves the
-  // un-scaled fp32 accumulator in yr.
-  void QuantizedBoundaryRow(const float* x_base, int t, int o,
-                            float* yr) const;
-
   int window_;
   int in_dim_;
   Padding padding_;
   Parameter w_;  // filters x (window * in_dim)
   Parameter b_;  // 1 x filters
-  bool quantized_ = false;
-  RowQuantized qw_;
 };
 
 }  // namespace lncl::nn

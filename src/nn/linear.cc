@@ -1,6 +1,5 @@
 #include "nn/linear.h"
 
-#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/gemm_kernel.h"
 
@@ -12,35 +11,9 @@ Linear::Linear(const std::string& name, int in_dim, int out_dim,
   GlorotInit(rng, &w_.value);
 }
 
-void Linear::SetQuantized(bool on) {
-  quantized_ = on;
-  if (on) {
-    QuantizeRows(w_.value, &qw_);
-    if (obs::Metrics::enabled()) {
-      // Requantization volume: each toggle re-derives the int8 weights, so
-      // frequent teacher/student flips show up here before they show up as
-      // serving latency.
-      static obs::Counter* const tensors =
-          obs::Metrics::GetCounter("quantize.requantized_tensors");
-      static obs::Counter* const rows =
-          obs::Metrics::GetCounter("quantize.requantized_rows");
-      tensors->Add(1);
-      rows->Add(static_cast<uint64_t>(w_.value.rows()));
-    }
-  } else {
-    qw_ = RowQuantized();
-  }
-}
-
 void Linear::Forward(const util::Vector& x, util::Vector* y) const {
   LNCL_DCHECK(static_cast<int>(x.size()) == in_dim());
   y->resize(out_dim());
-  if (quantized_) {
-    LNCL_DCHECK(qw_.Matches(w_.value));
-    QuantizedGemm(qw_, 1, x.data(), in_dim(), y->data(), out_dim(),
-                  b_.value.Row(0), util::Act::kNone);
-    return;
-  }
   // y^T = x^T W^T with the bias fused into the GEMM epilogue: one pass over
   // the output instead of a GEMM plus a bias sweep.
   int ldb = 0;
@@ -52,13 +25,6 @@ void Linear::Forward(const util::Vector& x, util::Vector* y) const {
 
 void Linear::ForwardRows(const util::Matrix& x, util::Matrix* y) const {
   LNCL_DCHECK(x.cols() == in_dim());
-  if (quantized_) {
-    LNCL_DCHECK(qw_.Matches(w_.value));
-    y->ResizeNoZero(x.rows(), out_dim());
-    QuantizedGemm(qw_, x.rows(), x.data(), x.cols(), y->data(), y->cols(),
-                  b_.value.Row(0), util::Act::kNone);
-    return;
-  }
   util::GemmEx(1.0f, x, util::Trans::kNo, w_.value, util::Trans::kYes, 0.0f,
                y, b_.value.Row(0), util::Act::kNone);
 }

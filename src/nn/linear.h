@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "nn/parameter.h"
-#include "nn/quantize.h"
 #include "util/matrix.h"
 #include "util/rng.h"
 
@@ -21,9 +20,7 @@ namespace lncl::nn {
 // Forward and ForwardRows run through the same fused bias epilogue in the
 // GEMM microkernel (util/gemm_kernel.h) — the vector forward is the m = 1
 // row form, so a vector result is bit-identical to the matching row of a
-// rows forward. SetQuantized(true) switches both forwards to the int8
-// serving path (per-row quantized weights, fp32 accumulate); training-side
-// entry points (Backward*) always read the fp32 weights.
+// rows forward.
 class Linear {
  public:
   // in -> out, Glorot-initialized weights, zero bias.
@@ -57,17 +54,9 @@ class Linear {
   const Parameter& weight() const { return w_; }
   const Parameter& bias() const { return b_; }
 
-  // Toggles the int8 serving path. Quantization happens eagerly here (the
-  // caller's single-threaded toggle point), never lazily inside the const
-  // forwards, so concurrent Forward calls stay race-free.
-  void SetQuantized(bool on);
-  bool quantized() const { return quantized_; }
-
  private:
   Parameter w_;  // out x in
   Parameter b_;  // 1 x out
-  bool quantized_ = false;
-  RowQuantized qw_;
 };
 
 }  // namespace lncl::nn

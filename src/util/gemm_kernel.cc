@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -83,34 +82,6 @@ void ScalarGemmImpl(int m, int n, int kd, float alpha, const float* a,
   }
 }
 
-void ScalarGemmInt8Impl(int m, int n, int kd, const float* a, int lda,
-                        const int8_t* q, const float* scale, float* c,
-                        int ldc, const float* bias, Act act) {
-  constexpr int kJb = 16;
-  float acc[kJb];
-  for (int i = 0; i < m; ++i) {
-    const float* __restrict ar = a + static_cast<size_t>(i) * lda;
-    float* __restrict cr = c + static_cast<size_t>(i) * ldc;
-    for (int j0 = 0; j0 < n; j0 += kJb) {
-      const int jb = std::min(kJb, n - j0);
-      for (int j = 0; j < jb; ++j) acc[j] = 0.0f;
-      for (int k = 0; k < kd; ++k) {
-        const float av = ar[k];
-        const int8_t* __restrict qr = q + static_cast<size_t>(k) * n + j0;
-        for (int j = 0; j < jb; ++j) {
-          acc[j] = std::fma(av, static_cast<float>(qr[j]), acc[j]);
-        }
-      }
-      for (int j = 0; j < jb; ++j) {
-        // Dequantize in the epilogue: alpha = scale[j], beta = 0.
-        cr[j0 + j] = FinishElem(acc[j] * scale[j0 + j], 1.0f, 0.0f, 0.0f,
-                                bias != nullptr, bias != nullptr ? bias[j0 + j] : 0.0f,
-                                act);
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SIMD kernel. One ISA is compiled per build; thin wrappers give both the
 // same face so the blocked kernel is written once. Lanes are output columns
@@ -144,16 +115,6 @@ inline VReg VFma(VReg x, VReg y, VReg z) { return _mm512_fmadd_ps(x, y, z); }
 // max(t, 0) with 0 as the second operand: NaN lanes become +0, matching the
 // scalar `t > 0 ? t : 0`.
 inline VReg VRelu(VReg x) { return _mm512_max_ps(x, _mm512_setzero_ps()); }
-inline VReg VLoadQ(const int8_t* p) {
-  const __m128i raw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw));
-}
-inline VReg VLoadQTail(const int8_t* p, int rem) {
-  alignas(16) int8_t buf[16] = {};
-  std::memcpy(buf, p, static_cast<size_t>(rem));
-  const __m128i raw = _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
-  return _mm512_cvtepi32_ps(_mm512_cvtepi8_epi32(raw));
-}
 
 #else  // __AVX2__ && __FMA__
 
@@ -179,16 +140,6 @@ inline VReg VAdd(VReg x, VReg y) { return _mm256_add_ps(x, y); }
 inline VReg VMul(VReg x, VReg y) { return _mm256_mul_ps(x, y); }
 inline VReg VFma(VReg x, VReg y, VReg z) { return _mm256_fmadd_ps(x, y, z); }
 inline VReg VRelu(VReg x) { return _mm256_max_ps(x, _mm256_setzero_ps()); }
-inline VReg VLoadQ(const int8_t* p) {
-  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-}
-inline VReg VLoadQTail(const int8_t* p, int rem) {
-  alignas(16) int8_t buf[16] = {};
-  std::memcpy(buf, p, static_cast<size_t>(rem));
-  const __m128i raw = _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
-  return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(raw));
-}
 
 #endif  // ISA selection
 
@@ -313,73 +264,6 @@ void SimdGemmImpl(int m, int n, int kd, float alpha, const float* a, int lda,
       default:
         SimdRowBlock<kTa, 1>(n, kd, alpha, a, lda, i0, b, ldb, beta, c, ldc,
                              bias, act);
-        break;
-    }
-  }
-}
-
-// Int8 analog: B lanes come from a widening int8 -> fp32 conversion (exact
-// for the int8 range), scales fold in through the epilogue's alpha slot.
-template <int kMrT>
-inline void SimdInt8Block(int kd, const float* a, int lda, int i0,
-                          const int8_t* q, int n, int j0, int width,
-                          const float* scale, float* c, int ldc,
-                          const float* bias, Act act) {
-  VReg acc[kMrT];
-  for (int r = 0; r < kMrT; ++r) acc[r] = VZero();
-  for (int k = 0; k < kd; ++k) {
-    const int8_t* qr = q + static_cast<size_t>(k) * n + j0;
-    const VReg bv = width == kVecLen ? VLoadQ(qr) : VLoadQTail(qr, width);
-    for (int r = 0; r < kMrT; ++r) {
-      acc[r] = VFma(VSet1(a[static_cast<size_t>(i0 + r) * lda + k]), bv,
-                    acc[r]);
-    }
-  }
-  const VReg sv = width == kVecLen ? VLoad(scale + j0)
-                                   : VLoadTail(scale + j0, width);
-  for (int r = 0; r < kMrT; ++r) {
-    FinishVec(VMul(acc[r], sv), 1.0f, 0.0f,
-              c + static_cast<size_t>(i0 + r) * ldc, j0, width, bias, act);
-  }
-}
-
-template <int kMrT>
-void SimdInt8RowBlock(int n, int kd, const float* a, int lda, int i0,
-                      const int8_t* q, const float* scale, float* c, int ldc,
-                      const float* bias, Act act) {
-  int j0 = 0;
-  for (; j0 + kVecLen <= n; j0 += kVecLen) {
-    SimdInt8Block<kMrT>(kd, a, lda, i0, q, n, j0, kVecLen, scale, c, ldc,
-                        bias, act);
-  }
-  if (j0 < n) {
-    SimdInt8Block<kMrT>(kd, a, lda, i0, q, n, j0, n - j0, scale, c, ldc,
-                        bias, act);
-  }
-}
-
-void SimdGemmInt8Impl(int m, int n, int kd, const float* a, int lda,
-                      const int8_t* q, const float* scale, float* c, int ldc,
-                      const float* bias, Act act) {
-  for (int i0 = 0; i0 < m; i0 += kMr) {
-    switch (std::min(kMr, m - i0)) {
-      case 6:
-        SimdInt8RowBlock<6>(n, kd, a, lda, i0, q, scale, c, ldc, bias, act);
-        break;
-      case 5:
-        SimdInt8RowBlock<5>(n, kd, a, lda, i0, q, scale, c, ldc, bias, act);
-        break;
-      case 4:
-        SimdInt8RowBlock<4>(n, kd, a, lda, i0, q, scale, c, ldc, bias, act);
-        break;
-      case 3:
-        SimdInt8RowBlock<3>(n, kd, a, lda, i0, q, scale, c, ldc, bias, act);
-        break;
-      case 2:
-        SimdInt8RowBlock<2>(n, kd, a, lda, i0, q, scale, c, ldc, bias, act);
-        break;
-      default:
-        SimdInt8RowBlock<1>(n, kd, a, lda, i0, q, scale, c, ldc, bias, act);
         break;
     }
   }
@@ -563,30 +447,6 @@ void GemmEx(int m, int n, int k, float alpha, const float* a, int lda,
     ScalarGemmImpl<true>(m, n, k, alpha, a, lda, bp, ldbp, beta, c, ldc,
                          bias, act);
   }
-}
-
-void GemmInt8(int m, int n, int k, const float* a, int lda,
-              const int8_t* b_kmajor, const float* scale, float* c, int ldc,
-              const float* bias, Act act) {
-  const bool simd = ActiveKind() == Kind::kSimd;
-  if (obs::Metrics::enabled()) {
-    static obs::Counter* const calls =
-        obs::Metrics::GetCounter("gemm.int8.calls");
-    static obs::Counter* const flops = obs::Metrics::GetCounter("gemm.flops");
-    calls->Increment();
-    flops->Add(2ull * static_cast<uint64_t>(m) * static_cast<uint64_t>(n) *
-               static_cast<uint64_t>(k));
-  }
-  if (m == 0 || n == 0) return;
-#if LNCL_GEMM_SIMD
-  if (simd) {
-    SimdGemmInt8Impl(m, n, k, a, lda, b_kmajor, scale, c, ldc, bias, act);
-    return;
-  }
-#else
-  (void)simd;
-#endif
-  ScalarGemmInt8Impl(m, n, k, a, lda, b_kmajor, scale, c, ldc, bias, act);
 }
 
 }  // namespace lncl::util::gemm

@@ -38,8 +38,6 @@
 // This file is the one place in the tree allowed to touch raw SIMD
 // intrinsics (tools/lint.py enforces it); everything else stays portable.
 
-#include <cstdint>
-
 #include "util/matrix.h"
 
 namespace lncl::util::gemm {
@@ -93,15 +91,5 @@ void GemmEx(int m, int n, int k, float alpha, const float* a, int lda,
 // must not hold it across other GemmEx-issuing work). Cache hits/misses
 // are counted as gemm.pack.{hit,miss}.
 const float* PackedOpB(const Matrix& b, Trans trans_b, int* ldb);
-
-// Int8 serving kernel: C = act(scale[j] * (A * Q) + bias), with Q a k x n
-// int8 panel (k-major, as produced by nn::QuantizeRows from a transposed
-// weight matrix) and per-output-column dequantization scales. Accumulation
-// is fp32 over the exactly-representable int8 values, in the same
-// one-accumulator / ascending-k order as GemmEx, so the scalar and SIMD
-// paths agree bitwise and batching never changes a row. bias may be null.
-void GemmInt8(int m, int n, int k, const float* a, int lda,
-              const int8_t* b_kmajor, const float* scale, float* c, int ldc,
-              const float* bias, Act act);
 
 }  // namespace lncl::util::gemm

@@ -11,9 +11,12 @@
 
 #include "core/logic_lncl.h"
 #include "core/sentiment_rules.h"
+#include "core/trainer.h"
 #include "crowd/simulator.h"
 #include "data/embedding.h"
 #include "data/sentiment_gen.h"
+#include "eval/metrics.h"
+#include "inference/truth_inference.h"
 #include "models/logreg.h"
 #include "models/model.h"
 #include "models/ner_tagger.h"
@@ -190,9 +193,14 @@ TEST(BatchPredictTest, EmptyBatch) {
   EXPECT_TRUE(out.empty());
 }
 
-// ------------------------------------------- full Fit + teacher equivalence
+// --------------------------------------------------- E-step components
+//
+// The Logic-LNCL E-step runs PredictBatch (checked above per model), then
+// ComputeQa against hoisted LogConfusions tables, then ProjectBatch; dev
+// evaluation runs DevScore(Model). Each is pinned here, byte for byte, to
+// the per-instance formulation it replaces.
 
-class FitEquivalenceTest : public testing::Test {
+class SentimentComponentsTest : public testing::Test {
  protected:
   void SetUp() override {
     Rng rng(77);
@@ -208,17 +216,94 @@ class FitEquivalenceTest : public testing::Test {
     factory_ = models::TextCnn::Factory(mcfg, corpus_.embeddings);
   }
 
+  data::SentimentCorpus corpus_;
+  std::unique_ptr<crowd::AnnotationSet> annotations_;
+  models::ModelFactory factory_;
+};
+
+TEST_F(SentimentComponentsTest, HoistedComputeQaMatchesPerInstanceLogs) {
+  Rng rng(3);
+  std::unique_ptr<models::Model> model = factory_(&rng);
+  const std::vector<util::Matrix> qf = annotations_->MajorityVote(
+      inference::ItemsPerInstance(corpus_.train));
+  crowd::ConfusionSet confusions;
+  core::UpdateConfusions(qf, *annotations_, 0.01, &confusions);
+  const std::vector<util::Matrix> log_pi = core::LogConfusions(confusions);
+  const std::vector<util::Matrix> probs = model->PredictBatch(corpus_.train);
+  for (int i = 0; i < corpus_.train.size(); ++i) {
+    ExpectBitEqual(
+        core::ComputeQa(probs[i], annotations_->instance(i), confusions),
+        core::ComputeQa(probs[i], annotations_->instance(i), log_pi), "q_a",
+        i);
+  }
+}
+
+TEST_F(SentimentComponentsTest, ButRuleProjectBatchMatchesLoopedProject) {
+  Rng rng(4);
+  std::unique_ptr<models::Model> model = factory_(&rng);
+  const core::SentimentButRule rule(model.get(), corpus_.but_token);
+  std::vector<data::Instance> xs = corpus_.train.instances;
+  // A marker as the last token leaves clause B empty: no grounding.
+  data::Instance dangling = xs.front();
+  dangling.tokens.push_back(corpus_.but_token);
+  dangling.contrast_index = static_cast<int>(dangling.tokens.size()) - 1;
+  xs.push_back(dangling);
+  int grounded = 0;
+  std::vector<util::Matrix> qs;
+  for (const data::Instance& x : xs) {
+    if (x.contrast_index >= 0 &&
+        x.tokens[x.contrast_index] == corpus_.but_token &&
+        x.contrast_index + 1 < static_cast<int>(x.tokens.size())) {
+      ++grounded;
+    }
+    util::Matrix q(1, 2);
+    q(0, 0) = static_cast<float>(rng.Uniform());
+    q(0, 1) = 1.0f - q(0, 0);
+    qs.push_back(q);
+  }
+  ASSERT_GT(grounded, 0);
+  ASSERT_LT(grounded, static_cast<int>(xs.size()));
+  for (const double c : {1.0, 5.0}) {
+    std::vector<util::Matrix> batched = qs;
+    rule.ProjectBatch(Pointers(xs), &batched, c);
+    ASSERT_EQ(batched.size(), xs.size());
+    int moved = 0;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      const util::Matrix looped = rule.Project(xs[i], qs[i], c);
+      ExpectBitEqual(looped, batched[i], "q_b", i);
+      if (looped(0, 0) != qs[i](0, 0)) ++moved;
+    }
+    EXPECT_GT(moved, 0) << "no grounded instance changed under C = " << c;
+  }
+  std::vector<util::Matrix> empty;
+  rule.ProjectBatch({}, &empty, 5.0);
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST_F(SentimentComponentsTest, ModelDevScoreMatchesPredictorDevScore) {
+  Rng rng(5);
+  std::unique_ptr<models::Model> model = factory_(&rng);
+  const models::Model& m = *model;
+  EXPECT_EQ(eval::DevScore(m, corpus_.dev),
+            eval::DevScore(eval::ModelPredictor(m), corpus_.dev));
+}
+
+// ------------------------------------------- full Fit + teacher equivalence
+
+class FitEquivalenceTest : public SentimentComponentsTest {
+ protected:
   struct Snapshot {
     core::LogicLnclResult result;
     std::vector<std::vector<float>> params;
     std::vector<util::Matrix> qf;
     std::vector<util::Matrix> teacher;
+    std::vector<util::Matrix> teacher_looped;
   };
 
   // Full Logic-LNCL fit with the "but" rule (so ProjectBatch's inner
   // clause-B predictions are exercised), then a teacher pass on the test
-  // split.
-  Snapshot Run(bool batch_predict, int threads) const {
+  // split, batched and looped.
+  Snapshot Run(int threads) const {
     core::LogicLnclConfig config;
     config.epochs = 3;
     config.batch_size = 32;
@@ -227,11 +312,10 @@ class FitEquivalenceTest : public testing::Test {
     config.optimizer.kind = "adadelta";
     config.optimizer.lr = 1.0;
     config.threads = threads;
-    config.batch_predict = batch_predict;
     Rng rng(1);
     std::unique_ptr<models::Model> model = factory_(&rng);
     core::SentimentButRule rule(model.get(), corpus_.but_token);
-    core::LogicLncl learner(config, std::move(model), &rule, factory_);
+    core::LogicLncl learner(config, std::move(model), &rule);
     Snapshot snap;
     snap.result = learner.Fit(corpus_.train, *annotations_, corpus_.dev, &rng);
     for (nn::Parameter* p : learner.model()->Params()) {
@@ -239,12 +323,9 @@ class FitEquivalenceTest : public testing::Test {
                                p->value.data() + p->value.size());
     }
     snap.qf = learner.qf();
-    if (batch_predict) {
-      snap.teacher = learner.PredictTeacherBatch(corpus_.test);
-    } else {
-      for (const data::Instance& x : corpus_.test.instances) {
-        snap.teacher.push_back(learner.PredictTeacher(x));
-      }
+    snap.teacher = learner.PredictTeacherBatch(corpus_.test);
+    for (const data::Instance& x : corpus_.test.instances) {
+      snap.teacher_looped.push_back(learner.PredictTeacher(x));
     }
     return snap;
   }
@@ -279,27 +360,20 @@ class FitEquivalenceTest : public testing::Test {
       ExpectBitEqual(a.teacher[i], b.teacher[i], "teacher", i);
     }
   }
-
-  data::SentimentCorpus corpus_;
-  std::unique_ptr<crowd::AnnotationSet> annotations_;
-  models::ModelFactory factory_;
 };
 
-TEST_F(FitEquivalenceTest, BatchedFitMatchesPerInstanceSerialSlots) {
-  ExpectIdentical(Run(/*batch_predict=*/true, /*threads=*/1),
-                  Run(/*batch_predict=*/false, /*threads=*/1));
-}
-
-TEST_F(FitEquivalenceTest, BatchedFitMatchesPerInstanceParallel) {
-  ExpectIdentical(Run(/*batch_predict=*/true, /*threads=*/4),
-                  Run(/*batch_predict=*/false, /*threads=*/4));
+TEST_F(FitEquivalenceTest, TeacherBatchMatchesLoopedPredictTeacher) {
+  const Snapshot snap = Run(/*threads=*/1);
+  ASSERT_EQ(snap.teacher.size(), snap.teacher_looped.size());
+  for (size_t i = 0; i < snap.teacher.size(); ++i) {
+    ExpectBitEqual(snap.teacher_looped[i], snap.teacher[i], "teacher", i);
+  }
 }
 
 TEST_F(FitEquivalenceTest, BatchedFitDeterministicAcrossThreadCounts) {
-  // Determinism regression with batching enabled: the bucketed kernels keep
-  // the threads-invariance guarantee of DESIGN.md §5.
-  ExpectIdentical(Run(/*batch_predict=*/true, /*threads=*/1),
-                  Run(/*batch_predict=*/true, /*threads=*/4));
+  // Determinism regression: the bucketed kernels keep the threads-invariance
+  // guarantee of DESIGN.md §5.
+  ExpectIdentical(Run(/*threads=*/1), Run(/*threads=*/4));
 }
 
 }  // namespace

@@ -535,6 +535,44 @@ TEST(AnswersMatrixIoTest, RejectsOutOfRangeAndRagged) {
   EXPECT_FALSE(LoadAnswersMatrix(junk, 2, &loaded));
 }
 
+// A loader that fails leaves the AnnotationSet it was handed untouched, even
+// when every line parses and only the last one holds an invalid label.
+void ExpectSameAnnotations(const AnnotationSet& a, const AnnotationSet& b) {
+  ASSERT_EQ(a.num_instances(), b.num_instances());
+  EXPECT_EQ(a.num_annotators(), b.num_annotators());
+  EXPECT_EQ(a.num_classes(), b.num_classes());
+  for (int i = 0; i < a.num_instances(); ++i) {
+    ASSERT_EQ(a.instance(i).entries.size(), b.instance(i).entries.size());
+    for (size_t e = 0; e < a.instance(i).entries.size(); ++e) {
+      EXPECT_EQ(a.instance(i).entries[e].annotator,
+                b.instance(i).entries[e].annotator);
+      EXPECT_EQ(a.instance(i).entries[e].labels,
+                b.instance(i).entries[e].labels);
+    }
+  }
+}
+
+TEST(AnswersMatrixIoTest, FailureLeavesOutputUnchanged) {
+  AnnotationSet loaded(2, 3, 2);
+  loaded.instance(0).entries.push_back({1, {0}});
+  const AnnotationSet before = loaded;
+  std::stringstream bad_last("1 0\n2 1\n0 3\n");  // 3 > num_classes
+  EXPECT_FALSE(LoadAnswersMatrix(bad_last, 2, &loaded));
+  ExpectSameAnnotations(loaded, before);
+}
+
+TEST(AnswersMatrixIoTest, SequenceFailureLeavesOutputUnchanged) {
+  AnnotationSet loaded(1, 2, 9);
+  loaded.instance(0).entries.push_back({0, {4, 5}});
+  const AnnotationSet before = loaded;
+  std::stringstream bad_last("1 2\n3 4\n\n1 0\n0 0\n");  // partial column
+  EXPECT_FALSE(LoadSequenceAnswers(bad_last, 9, &loaded));
+  ExpectSameAnnotations(loaded, before);
+  std::stringstream out_of_range("1 2\n\n1 0\n10 0\n");  // 10 > num_classes
+  EXPECT_FALSE(LoadSequenceAnswers(out_of_range, 9, &loaded));
+  ExpectSameAnnotations(loaded, before);
+}
+
 TEST(AnswersMatrixIoTest, SequenceRoundTrip) {
   AnnotationSet ann(2, 3, 9);
   ann.instance(0).entries.push_back({0, {0, 1, 2}});

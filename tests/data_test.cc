@@ -392,6 +392,61 @@ TEST(SentimentTsvTest, RejectsBadLabels) {
   Dataset d2;
   std::stringstream junk("abc\tsome words\n");
   EXPECT_FALSE(LoadSentimentTsv(junk, &vocab, &d2));
+  Dataset d3;
+  std::stringstream trailing("1x\tsome words\n");  // stoi stops at 'x'
+  EXPECT_FALSE(LoadSentimentTsv(trailing, &vocab, &d3));
+  EXPECT_TRUE(d3.instances.empty());
+}
+
+// A loader that fails leaves its outputs exactly as it found them: the
+// failing line is the last one, after valid lines that introduce new tokens.
+void ExpectUnchanged(const Vocab& vocab, const Dataset& dataset,
+                     const std::vector<std::string>& vocab_before,
+                     const Dataset& dataset_before) {
+  ASSERT_EQ(vocab.size(), static_cast<int>(vocab_before.size()));
+  for (int id = 0; id < vocab.size(); ++id) {
+    EXPECT_EQ(vocab.TokenOf(id), vocab_before[id]);
+  }
+  EXPECT_EQ(dataset.sequence, dataset_before.sequence);
+  EXPECT_EQ(dataset.num_classes, dataset_before.num_classes);
+  ASSERT_EQ(dataset.size(), dataset_before.size());
+  for (int i = 0; i < dataset.size(); ++i) {
+    EXPECT_EQ(dataset.instances[i].tokens, dataset_before.instances[i].tokens);
+    EXPECT_EQ(dataset.instances[i].label, dataset_before.instances[i].label);
+    EXPECT_EQ(dataset.instances[i].tag_labels,
+              dataset_before.instances[i].tag_labels);
+  }
+}
+
+std::vector<std::string> VocabTokens(const Vocab& vocab) {
+  std::vector<std::string> tokens;
+  for (int id = 0; id < vocab.size(); ++id) tokens.push_back(vocab.TokenOf(id));
+  return tokens;
+}
+
+TEST(ConllIoTest, FailureLeavesOutputsUnchanged) {
+  Vocab vocab;
+  Dataset d;
+  std::stringstream first("Acme\tB-ORG\n\n");
+  ASSERT_TRUE(LoadConll(first, &vocab, &d));
+  const std::vector<std::string> vocab_before = VocabTokens(vocab);
+  const Dataset before = d;
+  std::stringstream bad(
+      "John\tB-PER\nSmith\tI-PER\n\nvisited\tO\nParis\tB-NOPE\n");
+  EXPECT_FALSE(LoadConll(bad, &vocab, &d));
+  ExpectUnchanged(vocab, d, vocab_before, before);
+}
+
+TEST(SentimentTsvTest, FailureLeavesOutputsUnchanged) {
+  Vocab vocab;
+  Dataset d;
+  std::stringstream first("1\tgood film\n");
+  ASSERT_TRUE(LoadSentimentTsv(first, &vocab, &d));
+  const std::vector<std::string> vocab_before = VocabTokens(vocab);
+  const Dataset before = d;
+  std::stringstream bad("0\tdull plot\n4\tnew classes too\nno tab here\n");
+  EXPECT_FALSE(LoadSentimentTsv(bad, &vocab, &d));
+  ExpectUnchanged(vocab, d, vocab_before, before);
 }
 
 

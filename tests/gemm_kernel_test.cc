@@ -1,8 +1,8 @@
 // Tests for the register-blocked GEMM microkernel layer
 // (src/util/gemm_kernel.{h,cc}): SIMD-vs-scalar bit equality across every
 // transpose variant and shape tail, fused-epilogue equivalence, pack-cache
-// coherence, the int8 serving kernel, and the LNCL_GEMM_KERNEL dispatch
-// override (including its death paths).
+// coherence, and the LNCL_GEMM_KERNEL dispatch override (including its
+// death paths).
 
 #include "util/gemm_kernel.h"
 
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "nn/quantize.h"
 #include "util/matrix.h"
 
 namespace lncl::util::gemm {
@@ -224,79 +223,6 @@ TEST_F(GemmKernelTest, PackCacheMissesForNewMatrixOnReusedBuffer) {
   };
   EXPECT_EQ(product(1.0f), 4.0f);
   EXPECT_EQ(product(2.0f), 8.0f);
-}
-
-TEST_F(GemmKernelTest, QuantizeRowsRoundTripBound) {
-  Matrix w(9, 37);
-  TestRng rng(5);
-  for (int i = 0; i < w.rows(); ++i) {
-    for (int j = 0; j < w.cols(); ++j) w(i, j) = rng.Next() * 3.0f;
-  }
-  w(4, 0) = 0.0f;  // exercise a row with an exact zero
-  nn::RowQuantized qw;
-  nn::QuantizeRows(w, &qw);
-  ASSERT_EQ(qw.out, w.rows());
-  ASSERT_EQ(qw.in, w.cols());
-  EXPECT_TRUE(qw.Matches(w));
-  for (int j = 0; j < w.rows(); ++j) {
-    for (int k = 0; k < w.cols(); ++k) {
-      const float deq =
-          qw.scale[j] *
-          static_cast<float>(qw.q[static_cast<size_t>(k) * w.rows() + j]);
-      EXPECT_LE(std::fabs(w(j, k) - deq), qw.scale[j] * 0.5000001f)
-          << "row " << j << " col " << k;
-    }
-  }
-  // Mutation invalidates.
-  w(0, 0) += 1.0f;
-  EXPECT_FALSE(qw.Matches(w));
-}
-
-TEST_F(GemmKernelTest, Int8KernelMatchesDocumentedFormulaAndSimdAgrees) {
-  const int m = 5, n = 19, k = 23;
-  TestRng rng(17);
-  std::vector<float> a(static_cast<size_t>(m) * k);
-  std::vector<float> bias(n);
-  rng.Fill(&a);
-  rng.Fill(&bias);
-  std::vector<int8_t> q(static_cast<size_t>(k) * n);
-  std::vector<float> scale(n);
-  for (size_t i = 0; i < q.size(); ++i) {
-    q[i] = static_cast<int8_t>(static_cast<int>(rng.Next() * 127.0f));
-  }
-  for (float& s : scale) s = 0.01f + std::fabs(rng.Next()) * 0.05f;
-
-  for (Act act : {Act::kNone, Act::kRelu}) {
-    // Reference: the documented contract — one fp32 accumulator per element,
-    // std::fma over ascending k of the exactly-converted int8 values, then
-    // scale, bias, activation.
-    std::vector<float> ref(static_cast<size_t>(m) * n);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        float acc = 0.0f;
-        for (int kk = 0; kk < k; ++kk) {
-          acc = std::fma(
-              a[static_cast<size_t>(i) * k + kk],
-              static_cast<float>(q[static_cast<size_t>(kk) * n + j]), acc);
-        }
-        float t = acc * scale[j] + bias[j];
-        if (act == Act::kRelu) t = t > 0.0f ? t : 0.0f;
-        ref[static_cast<size_t>(i) * n + j] = t;
-      }
-    }
-    SetActiveKindForTest(Kind::kScalar);
-    std::vector<float> got(static_cast<size_t>(m) * n, 0.0f);
-    GemmInt8(m, n, k, a.data(), k, q.data(), scale.data(), got.data(), n,
-             bias.data(), act);
-    EXPECT_TRUE(BytesEqual(ref, got)) << "scalar int8 formula mismatch";
-    if (SimdCompiled()) {
-      SetActiveKindForTest(Kind::kSimd);
-      std::vector<float> got_simd(static_cast<size_t>(m) * n, 0.0f);
-      GemmInt8(m, n, k, a.data(), k, q.data(), scale.data(), got_simd.data(),
-               n, bias.data(), act);
-      EXPECT_TRUE(BytesEqual(ref, got_simd)) << "simd int8 mismatch";
-    }
-  }
 }
 
 class GemmKernelEnvTest : public GemmKernelTest {
