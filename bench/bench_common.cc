@@ -173,6 +173,12 @@ std::string Pct(const std::vector<double>& xs, bool with_std) {
   return util::FormatMeanStd(mean, util::StdDev(xs) * 100.0);
 }
 
+std::string FormatTTest(const util::TTestResult& r) {
+  if (!r.defined) return "t=n/a p=n/a";
+  return "t=" + util::FormatFixed(r.t, 2) +
+         " p=" + util::FormatFixed(r.p_one_sided, 4);
+}
+
 void ForEachRun(const util::Config& config, int runs,
                 const std::function<void(int, uint64_t)>& fn) {
   const int threads = config.GetInt("threads", 0);

@@ -90,6 +90,10 @@ struct MethodScores {
 // "mean" or "mean ±std" (percent) for a metric vector; "-" when empty.
 std::string Pct(const std::vector<double>& xs, bool with_std = false);
 
+// "t=<t> p=<one-sided p>", or "t=n/a p=n/a" when the test is undefined
+// (fewer than two runs on a side).
+std::string FormatTTest(const util::TTestResult& r);
+
 // Runs fn(run_index, seed) for every run, in parallel across a thread pool
 // sized by --threads (default: hardware concurrency).
 void ForEachRun(const util::Config& config, int runs,

@@ -54,6 +54,37 @@ void BM_SequenceProjection(benchmark::State& state) {
 }
 BENCHMARK(BM_SequenceProjection)->Arg(8)->Arg(16)->Arg(32);
 
+// The NER teacher pass: a batch of 64 sentences of 8-20 tokens through
+// ProjectBatch. Each iteration first restores the batch from the source
+// copies (a few hundred bytes per sentence). time_per_sentence is the
+// cost of one sentence.
+void BM_SequenceProjectBatch(benchmark::State& state) {
+  util::Rng rng(6);
+  const int sentences = 64;
+  const logic::SequenceRuleProjector projector(
+      core::BuildNerTransitionPenalty());
+  std::vector<util::Matrix> source;
+  for (int i = 0; i < sentences; ++i) {
+    source.push_back(RandomDistributions(8 + rng.UniformInt(13), 9, &rng));
+  }
+  const std::vector<data::Instance> xs(sentences);
+  std::vector<const data::Instance*> ptrs;
+  for (const data::Instance& x : xs) ptrs.push_back(&x);
+  std::vector<util::Matrix> batch(sentences);
+  for (auto _ : state) {
+    for (int i = 0; i < sentences; ++i) batch[i] = source[i];
+    projector.ProjectBatch(ptrs, &batch, 5.0);
+    benchmark::DoNotOptimize(batch.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * sentences);
+  state.counters["time_per_sentence"] = benchmark::Counter(
+      static_cast<double>(sentences),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_SequenceProjectBatch);
+
 // Exact chain smoothing as the sequence aggregators call it: one 13-token
 // sentence over the 9 BIO tags, accumulating the pairwise xi counts.
 void BM_ChainForwardBackward(benchmark::State& state) {

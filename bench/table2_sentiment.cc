@@ -247,11 +247,8 @@ void Run(int argc, char** argv) {
         util::WelchTTest(s.prediction, aggnet.prediction);
     const util::TTestResult inf =
         util::WelchTTest(s.inference, aggnet.inference);
-    std::cout << ours << " vs AggNet: prediction t=" << util::FormatFixed(
-                     pred.t, 2)
-              << " p=" << util::FormatFixed(pred.p_one_sided, 4)
-              << " | inference t=" << util::FormatFixed(inf.t, 2)
-              << " p=" << util::FormatFixed(inf.p_one_sided, 4) << "\n";
+    std::cout << ours << " vs AggNet: prediction " << FormatTTest(pred)
+              << " | inference " << FormatTTest(inf) << "\n";
   }
 
   // ---- Timed end-to-end fit (fixed seed 424242).

@@ -263,9 +263,8 @@ void Run(int argc, char** argv) {
     const MethodScores& s = collect.Get(ours);
     const util::TTestResult pred =
         util::WelchTTest(s.prediction, cl_mw.prediction);
-    std::cout << ours << " vs CL (MW, 5): prediction-F1 t="
-              << util::FormatFixed(pred.t, 2)
-              << " p=" << util::FormatFixed(pred.p_one_sided, 4) << "\n";
+    std::cout << ours << " vs CL (MW, 5): prediction-F1 " << FormatTTest(pred)
+              << "\n";
   }
 
   // ---- Timed end-to-end fit (fixed seed 424242).

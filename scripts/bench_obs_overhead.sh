@@ -20,10 +20,10 @@
 #   1. asserts every fit's FitDigest is bit-identical across all four
 #      configurations (same seed + equal digests ==> observation changed
 #      no number anywhere in the trajectory), and
-#   2. appends a "telemetry_overhead" block — per-mode fit seconds for the
-#      four configurations, the idle / full-telemetry / prof overhead
-#      ratios, and the matched digests — to results/BENCH_table2.json /
-#      BENCH_table3.json.
+#   2. writes results/BENCH_table2.json / BENCH_table3.json: the telemetry
+#      run's own BENCH document plus a "telemetry_overhead" block — per-mode
+#      fit seconds for the four configurations, the idle / full-telemetry /
+#      prof overhead ratios, and the matched digests.
 #
 # The null-sink budget is <= 1.05x; the script warns (does not fail) when a
 # noisy machine exceeds it, since the digest assertions are the correctness
@@ -67,6 +67,7 @@ for bench in table2_sentiment:table2 table3_ner:table3; do
     || { echo "FAIL: missing prof artifact prof_${id}.json"; exit 1; }
   python3 - "$root" "$scratch" "$id" <<'EOF'
 import json
+import os
 import sys
 
 root, scratch, bench_id = sys.argv[1:4]
@@ -115,8 +116,9 @@ if not budget_ok:
     print(f"{bench_id}: WARNING — null-sink overhead above the 1.05x budget "
           "(noisy machine, or a regression worth profiling)")
 
+os.makedirs(f"{root}/results", exist_ok=True)
 path = f"{root}/results/BENCH_{bench_id}.json"
-doc = json.load(open(path))
+doc = docs["telemetry"]
 doc["telemetry_overhead"] = {
     "timed_fit_seed": 424242,
     "note": "same-seed timed fits: -DLNCL_TRACE=OFF vs default-idle vs "
@@ -127,7 +129,7 @@ doc["telemetry_overhead"] = {
 with open(path, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
-print(f"[telemetry overhead appended to {path}]")
+print(f"[telemetry overhead written to {path}]")
 EOF
 done
 

@@ -1,8 +1,10 @@
 #include "logic/sequence_rules.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "util/chain.h"
 #include "util/check.h"
 
 namespace lncl::logic {
@@ -12,76 +14,55 @@ SequenceRuleProjector::SequenceRuleProjector(util::Matrix pair_penalty)
   LNCL_CHECK(pair_penalty_.rows() == pair_penalty_.cols());
 }
 
-util::Matrix SequenceRuleProjector::Project(const data::Instance&,
-                                            const util::Matrix& q,
-                                            double C) const {
-  const int t_len = q.rows();
-  const int k = q.cols();
-  LNCL_DCHECK(k == pair_penalty_.rows());
-  // Input rows are unary potentials, not necessarily normalized (the DP
-  // renormalizes at every step) — so only finiteness is contracted here;
-  // the output marginals below must be exact simplexes.
-  LNCL_AUDIT_FINITE(q);
-  util::Matrix out(t_len, k);
-  if (t_len == 0) return out;
+namespace {
 
-  // Transition potentials psi(a, b) = exp(-C * pen(a, b)).
-  util::Matrix psi(k, k);
-  for (int a = 0; a < k; ++a) {
-    for (int b = 0; b < k; ++b) {
-      psi(a, b) = static_cast<float>(std::exp(-C * pair_penalty_(a, b)));
+// Transition potentials psi(a, b) = exp(-C * pen(a, b)), rounded to float.
+util::Matrix Potentials(const util::Matrix& pen, double C) {
+  util::Matrix psi(pen.rows(), pen.cols());
+  for (int a = 0; a < pen.rows(); ++a) {
+    for (int b = 0; b < pen.cols(); ++b) {
+      psi(a, b) = static_cast<float>(std::exp(-C * pen(a, b)));
     }
   }
   LNCL_AUDIT_FINITE(psi);
+  return psi;
+}
 
-  auto normalize = [](std::vector<double>* v) {
-    double sum = 0.0;
-    for (double x : *v) sum += x;
-    if (sum <= 1e-300) {
-      const double u = 1.0 / static_cast<double>(v->size());
-      for (double& x : *v) x = u;
-    } else {
-      for (double& x : *v) x /= sum;
-    }
-  };
+// The Eq. 15 chain: q's rows are the unary potentials (times a prior of
+// ones, which is exact) and psi the transition.
+void ProjectChain(const util::Vector& ones, const util::Matrix& psi,
+                  const util::Matrix& q, util::Matrix* out) {
+  // Input rows are unary potentials, not necessarily normalized (the DP
+  // renormalizes at every step) — so only finiteness is contracted here;
+  // the output marginals must be exact simplexes (Eqs. 18-19).
+  LNCL_AUDIT_FINITE(q);
+  util::ChainForwardBackward(ones, psi, q, out, nullptr);
+  LNCL_AUDIT_SIMPLEX(*out);
+}
 
-  // Forward pass.
-  std::vector<std::vector<double>> alpha(
-      t_len, std::vector<double>(k, 0.0));
-  for (int c = 0; c < k; ++c) alpha[0][c] = q(0, c);
-  normalize(&alpha[0]);
-  for (int t = 1; t < t_len; ++t) {
-    for (int b = 0; b < k; ++b) {
-      double s = 0.0;
-      for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * psi(a, b);
-      alpha[t][b] = q(t, b) * s;
-    }
-    normalize(&alpha[t]);
-  }
+}  // namespace
 
-  // Backward pass.
-  std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
-  for (int t = t_len - 2; t >= 0; --t) {
-    for (int a = 0; a < k; ++a) {
-      double s = 0.0;
-      for (int b = 0; b < k; ++b) {
-        s += psi(a, b) * q(t + 1, b) * beta[t + 1][b];
-      }
-      beta[t][a] = s;
-    }
-    normalize(&beta[t]);
-  }
-
-  for (int t = 0; t < t_len; ++t) {
-    std::vector<double> marg(k);
-    for (int c = 0; c < k; ++c) marg[c] = alpha[t][c] * beta[t][c];
-    normalize(&marg);
-    for (int c = 0; c < k; ++c) out(t, c) = static_cast<float>(marg[c]);
-  }
-  // Eqs. 18-19: the forward-backward marginals must come out normalized
-  // (each token's row a simplex) and finite.
-  LNCL_AUDIT_SIMPLEX(out);
+util::Matrix SequenceRuleProjector::Project(const data::Instance&,
+                                            const util::Matrix& q,
+                                            double C) const {
+  util::Matrix out;
+  ProjectChain(util::Vector(q.cols(), 1.0f), Potentials(pair_penalty_, C), q,
+               &out);
   return out;
+}
+
+void SequenceRuleProjector::ProjectBatch(
+    const std::vector<const data::Instance*>& xs,
+    std::vector<util::Matrix>* qs, double C) const {
+  LNCL_DCHECK(qs->size() == xs.size());
+  const util::Matrix psi = Potentials(pair_penalty_, C);
+  const util::Vector ones(psi.rows(), 1.0f);
+  // Each q's buffer becomes the next sentence's output.
+  util::Matrix out;
+  for (util::Matrix& q : *qs) {
+    ProjectChain(ones, psi, q, &out);
+    std::swap(q, out);
+  }
 }
 
 util::Matrix SequenceRuleProjector::ProjectBruteForce(const util::Matrix& q,

@@ -16,8 +16,10 @@ namespace lncl::logic {
 //
 // whose per-token marginals this class computes exactly with the
 // forward-backward algorithm — the "dynamic programming for efficient
-// computation in Equation 15" the paper refers to. Messages are renormalized
-// at every step, so sequences of any length are numerically safe.
+// computation in Equation 15" the paper refers to — as
+// util::ChainForwardBackward with a prior of ones and transition
+// psi(a, b) = float(exp(-C * pen(a, b))). Messages are renormalized at every
+// step, so sequences of any length are numerically safe.
 class SequenceRuleProjector : public RuleProjector {
  public:
   // pair_penalty: K x K, entry (a, b) = penalty of transition a -> b.
@@ -25,6 +27,11 @@ class SequenceRuleProjector : public RuleProjector {
 
   util::Matrix Project(const data::Instance& x, const util::Matrix& q,
                        double C) const override;
+
+  // Builds psi once for the whole batch and projects each (*qs)[i] in
+  // place; bit-identical to looping Project.
+  void ProjectBatch(const std::vector<const data::Instance*>& xs,
+                    std::vector<util::Matrix>* qs, double C) const override;
 
   // Exact (exponential-time) sequence marginals by brute-force enumeration.
   // Test oracle for short sequences only.

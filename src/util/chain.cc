@@ -29,7 +29,7 @@ void ChainForwardBackward(const Vector& prior,
   const int k = emission.cols();
   LNCL_DCHECK(static_cast<int>(prior.size()) == k);
   LNCL_DCHECK(transition.rows() == k && transition.cols() == k);
-  gamma->Resize(t_len, k);
+  gamma->ResizeNoZero(t_len, k);  // every row is written below
   if (t_len == 0) return;
 
   auto normalize = [k](double* v) {

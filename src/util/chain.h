@@ -16,7 +16,8 @@ namespace lncl::util {
 //
 // Messages are locally renormalized, so long sequences are numerically
 // safe. Used by the sequence truth-inference methods (HMM-Crowd, BSC-seq),
-// the rule projector, and the linear-chain CRF.
+// the NER rule projector (logic::SequenceRuleProjector, Eq. 15), and the
+// linear-chain CRF.
 void ChainForwardBackward(const Vector& prior, const Matrix& transition,
                           const Matrix& emission, Matrix* gamma,
                           Matrix* xi_sum);

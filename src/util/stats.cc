@@ -172,6 +172,7 @@ TTestResult WelchTTest(const std::vector<double>& a,
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   if (a.size() < 2 || b.size() < 2) return r;
+  r.defined = true;
   const double ma = Mean(a);
   const double mb = Mean(b);
   const double va = StdDev(a) * StdDev(a);

@@ -29,6 +29,9 @@ struct TTestResult {
   double df = 0.0;       // Welch-Satterthwaite degrees of freedom
   double p_one_sided = 1.0;  // P(T > t): "a beats b" when means imply so
   double p_two_sided = 1.0;
+  // False when either sample has fewer than two values: the statistic is
+  // then undefined and the fields above keep their no-signal defaults.
+  bool defined = false;
 };
 
 // Welch's t-test for H0: mean(a) == mean(b). The one-sided p-value tests

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "core/ner_rules.h"
 #include "core/sentiment_rules.h"
@@ -391,6 +393,154 @@ TEST(SequenceProjectorTest, StrongerCSharpensTowardValidity) {
     const util::Matrix out = proj.Project(x, q, c_value);
     EXPECT_LE(out(1, data::kIOrg), prev + 1e-6);
     prev = out(1, data::kIOrg);
+  }
+}
+
+bool BytesEqual(const util::Matrix& a, const util::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+// The nested-vector forward-backward SequenceRuleProjector::Project carried
+// before it called util::ChainForwardBackward, kept as the byte reference.
+util::Matrix RefProject(const util::Matrix& pen, const util::Matrix& q,
+                        double C) {
+  const int t_len = q.rows();
+  const int k = q.cols();
+  util::Matrix out(t_len, k);
+  if (t_len == 0) return out;
+  util::Matrix psi(k, k);
+  for (int a = 0; a < k; ++a) {
+    for (int b = 0; b < k; ++b) {
+      psi(a, b) = static_cast<float>(std::exp(-C * pen(a, b)));
+    }
+  }
+  auto normalize = [](std::vector<double>* v) {
+    double sum = 0.0;
+    for (double x : *v) sum += x;
+    if (sum <= 1e-300) {
+      for (double& x : *v) x = 1.0 / static_cast<double>(v->size());
+    } else {
+      for (double& x : *v) x /= sum;
+    }
+  };
+  std::vector<std::vector<double>> alpha(t_len, std::vector<double>(k, 0.0));
+  for (int c = 0; c < k; ++c) alpha[0][c] = q(0, c);
+  normalize(&alpha[0]);
+  for (int t = 1; t < t_len; ++t) {
+    for (int b = 0; b < k; ++b) {
+      double s = 0.0;
+      for (int a = 0; a < k; ++a) s += alpha[t - 1][a] * psi(a, b);
+      alpha[t][b] = q(t, b) * s;
+    }
+    normalize(&alpha[t]);
+  }
+  std::vector<std::vector<double>> beta(t_len, std::vector<double>(k, 1.0));
+  for (int t = t_len - 2; t >= 0; --t) {
+    for (int a = 0; a < k; ++a) {
+      double s = 0.0;
+      for (int b = 0; b < k; ++b) {
+        s += psi(a, b) * q(t + 1, b) * beta[t + 1][b];
+      }
+      beta[t][a] = s;
+    }
+    normalize(&beta[t]);
+  }
+  for (int t = 0; t < t_len; ++t) {
+    std::vector<double> marg(k);
+    for (int c = 0; c < k; ++c) marg[c] = alpha[t][c] * beta[t][c];
+    normalize(&marg);
+    for (int c = 0; c < k; ++c) out(t, c) = static_cast<float>(marg[c]);
+  }
+  return out;
+}
+
+util::Matrix RandomPenalty(int k, util::Rng* rng) {
+  util::Matrix pen(k, k);
+  for (int a = 0; a < k; ++a) {
+    for (int b = 0; b < k; ++b) {
+      pen(a, b) = static_cast<float>(rng->Uniform(0.0, 1.0));
+    }
+  }
+  return pen;
+}
+
+TEST(SequenceProjectorTest, MatchesNestedVectorReference) {
+  util::Rng rng(15);
+  const std::vector<util::Matrix> pens = {core::BuildNerTransitionPenalty(),
+                                          RandomPenalty(9, &rng),
+                                          RandomPenalty(3, &rng)};
+  data::Instance x;
+  for (const util::Matrix& pen : pens) {
+    const SequenceRuleProjector proj(pen);
+    for (double c_value : {0.5, 1.0, 5.0, 50.0}) {
+      for (int t_len = 1; t_len <= 40; ++t_len) {
+        const util::Matrix q = RandomDistributions(t_len, pen.rows(), &rng);
+        ASSERT_TRUE(BytesEqual(proj.Project(x, q, c_value),
+                               RefProject(pen, q, c_value)))
+            << "K=" << pen.rows() << " C=" << c_value << " T=" << t_len;
+      }
+    }
+  }
+}
+
+TEST(SequenceProjectorTest, ProjectBatchMatchesLoopedProject) {
+  util::Rng rng(16);
+  const SequenceRuleProjector proj(core::BuildNerTransitionPenalty());
+  const int k = data::kNumBioLabels;
+  std::vector<data::Instance> xs(7);
+  std::vector<const data::Instance*> ptrs;
+  for (const data::Instance& x : xs) ptrs.push_back(&x);
+  for (double c_value : {1.0, 5.0}) {
+    std::vector<util::Matrix> qs;
+    for (int t_len : {14, 0, 1, 7, 40, 0, 2}) {
+      qs.push_back(RandomDistributions(t_len, k, &rng));
+    }
+    std::vector<util::Matrix> batched = qs;
+    proj.ProjectBatch(ptrs, &batched, c_value);
+    ASSERT_EQ(batched.size(), qs.size());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      EXPECT_TRUE(BytesEqual(batched[i], proj.Project(xs[i], qs[i], c_value)))
+          << "C=" << c_value << " sentence " << i;
+    }
+  }
+  std::vector<util::Matrix> empty;
+  proj.ProjectBatch({}, &empty, 5.0);
+  EXPECT_TRUE(empty.empty());
+}
+
+TEST(SequenceProjectorTest, PotentialsFollowEachProjectorAndC) {
+  // Each call must use its own projector's penalty at its own C, on one
+  // thread: first for projectors built one after another in the same stack
+  // slot (same address, different penalty, consecutive calls at equal C),
+  // then for two live projectors called in turn.
+  util::Rng rng(17);
+  const std::vector<util::Matrix> pens = {
+      core::BuildNerTransitionPenalty(), core::BuildBadNerTransitionPenalty()};
+  data::Instance x;
+  for (int round = 0; round < 8; ++round) {
+    const int which = round % 2;
+    const double c_value = (round / 2) % 2 == 0 ? 5.0 : 0.5;
+    const util::Matrix q = RandomDistributions(6, data::kNumBioLabels, &rng);
+    const util::Matrix want = RefProject(pens[which], q, c_value);
+    const SequenceRuleProjector scoped(pens[which]);
+    EXPECT_TRUE(BytesEqual(scoped.Project(x, q, c_value), want))
+        << "Project, round " << round;
+    std::vector<util::Matrix> batch = {q};
+    scoped.ProjectBatch({&x}, &batch, c_value);
+    EXPECT_TRUE(BytesEqual(batch[0], want)) << "ProjectBatch, round " << round;
+  }
+  const SequenceRuleProjector first(pens[0]);
+  const SequenceRuleProjector second(pens[1]);
+  const SequenceRuleProjector* live[] = {&first, &second};
+  for (int round = 0; round < 8; ++round) {
+    const int which = round % 2;
+    const double c_value = (round / 2) % 2 == 0 ? 5.0 : 0.5;
+    const util::Matrix q = RandomDistributions(6, data::kNumBioLabels, &rng);
+    EXPECT_TRUE(BytesEqual(live[which]->Project(x, q, c_value),
+                           RefProject(pens[which], q, c_value)))
+        << "live projectors, round " << round;
   }
 }
 

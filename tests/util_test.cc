@@ -328,6 +328,8 @@ TEST(StatsTest, WelchTTestNullCase) {
 TEST(StatsTest, WelchTTestDegenerate) {
   const TTestResult r = WelchTTest({1.0}, {2.0, 3.0});
   EXPECT_DOUBLE_EQ(r.p_one_sided, 1.0);  // too few samples -> no signal
+  EXPECT_FALSE(r.defined);
+  EXPECT_TRUE(WelchTTest({1.0, 2.0}, {2.0, 3.0}).defined);
 }
 
 
